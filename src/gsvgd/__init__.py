@@ -1,7 +1,7 @@
 """Deterministic Stein-type particle samplers for drift/diffusion dynamics."""
 
-from .dynamics import KINDS, DynamicsSpec, RiemannConfig
-from .errors import ConfigError, NumericalError, UnsupportedDynamicsError
+from .dynamics import KINDS, DynamicsSpec, RiemannConfig, StructuredAC
+from .errors import ConfigError, NumericalError
 from .integrator import euler_step, symmetric_split_step
 from .kernels import (KernelConfig, median_bandwidth, rbf_eval, rbf_grad1,
                       rbf_grad2, rbf_matrix)
@@ -14,8 +14,8 @@ from .targets import (AugmentedTarget, BlockLayout, TargetDensity,
                       tri_crescent_target)
 
 __all__ = [
-    "KINDS", "DynamicsSpec", "RiemannConfig",
-    "ConfigError", "NumericalError", "UnsupportedDynamicsError",
+    "KINDS", "DynamicsSpec", "RiemannConfig", "StructuredAC",
+    "ConfigError", "NumericalError",
     "euler_step", "symmetric_split_step",
     "KernelConfig", "median_bandwidth", "rbf_eval", "rbf_grad1", "rbf_grad2",
     "rbf_matrix",

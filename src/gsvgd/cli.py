@@ -39,7 +39,8 @@ import numpy as np
 
 from . import bnn as bnn_mod
 from . import diagnostics, targets
-from .dynamics import KINDS, DynamicsSpec, RiemannConfig
+from .dynamics import (KINDS, KINDS_WITH_R, KINDS_WITH_XI, RIEMANN_KINDS,
+                       DynamicsSpec, RiemannConfig)
 from .errors import ConfigError, NumericalError
 from .integrator import euler_step, symmetric_split_step
 from .kernels import KernelConfig
@@ -50,8 +51,6 @@ from .targets import BlockLayout
 TARGETS = ("gauss", "gauss_mix", "tri_crescent", "bnn")
 METHODS = ("svgd", "gsvgd", "gsvgd_alt", "blob", "parvi_blob", "mcmc")
 INTEGRATORS = ("euler", "split")
-_KINDS_WITH_R = ("HMC", "NHT", "RHMC", "ThirdOrder")
-_KINDS_WITH_XI = ("NHT", "ThirdOrder")
 
 
 @dataclass
@@ -126,6 +125,10 @@ def _section(raw: dict, name: str, allowed: tuple[str, ...]) -> dict:
     return sec
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _number(sec: dict, section: str, key: str, default, *, minimum=None,
             exclusive=False, allow_none=False):
     val = sec.get(key, default)
@@ -133,7 +136,7 @@ def _number(sec: dict, section: str, key: str, default, *, minimum=None,
         if allow_none:
             return None
         raise ConfigError(f"{section}.{key}", "must be a number")
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(val):
         raise ConfigError(f"{section}.{key}", "must be a number")
     if minimum is not None:
         if exclusive and val <= minimum:
@@ -235,9 +238,11 @@ def parse_config(text: str) -> RunConfig:
     centers = diag.get("mode_centers")
     if centers is not None:
         if (not isinstance(centers, list) or not centers
-                or not all(isinstance(c, list) for c in centers)):
+                or not all(isinstance(c, list) and len(c) == len(centers[0])
+                           and all(_is_number(v) for v in c)
+                           for c in centers)):
             raise ConfigError("diagnostics.mode_centers",
-                              "must be a list of coordinate lists")
+                              "must be a list of equal-length lists of numbers")
         cfg.mode_centers = [[float(v) for v in c] for c in centers]
     cfg.mode_radius = _number(diag, "diagnostics", "mode_radius",
                               cfg.mode_radius, minimum=0, exclusive=True)
@@ -270,15 +275,15 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("integrator",
                               "the stochastic baseline integrates internally; "
                               "use 'euler'")
-        if cfg.kind not in _KINDS_WITH_R:
+        if cfg.kind not in KINDS_WITH_R:
             raise ConfigError("integrator",
                               "'split' requires a dynamics kind with momentum")
-    if cfg.resample_period > 0 and cfg.kind not in _KINDS_WITH_R:
+    if cfg.resample_period > 0 and cfg.kind not in KINDS_WITH_R:
         raise ConfigError("sampler.resample_period",
                           "momentum resampling requires a kind with momentum")
     if cfg.target == "bnn" and cfg.data_path is None:
         raise ConfigError("data.path", "required for the bnn target")
-    if cfg.target == "bnn" and cfg.kind in ("RLD", "RHMC"):
+    if cfg.target == "bnn" and cfg.kind in RIEMANN_KINDS:
         raise ConfigError("dynamics.kind",
                           "Riemannian kinds are not wired to the bnn target")
     return cfg
@@ -323,9 +328,9 @@ def _build_base_target(cfg: RunConfig):
 
 
 def _augment(cfg: RunConfig, base):
-    if cfg.kind in ("LD", "RLD"):
+    if cfg.kind not in KINDS_WITH_R:
         return base
-    if cfg.kind in ("HMC", "RHMC"):
+    if cfg.kind not in KINDS_WITH_XI:
         return targets.augment_with_momentum(base, cfg.sigma2)
     # NHT references the friction constant in the thermostat prior;
     # ThirdOrder centers its auxiliary block at zero.
@@ -335,19 +340,46 @@ def _augment(cfg: RunConfig, base):
 
 def _build_spec(cfg: RunConfig, base, layout: BlockLayout) -> DynamicsSpec:
     riemann = None
-    if cfg.kind in ("RLD", "RHMC"):
+    if cfg.kind in RIEMANN_KINDS:
         riemann = RiemannConfig(base, cfg.d_scale, cfg.c_offset)
     return DynamicsSpec(cfg.kind, layout, sigma2=cfg.sigma2,
                         friction=cfg.friction, mu=cfg.mu, gamma=cfg.gamma,
                         riemann=riemann)
 
 
-def _resolve_centers(cfg: RunConfig):
+def _resolve_centers(cfg: RunConfig, dim: int):
     if cfg.mode_centers is not None:
-        return np.asarray(cfg.mode_centers, dtype=float)
+        centers = np.asarray(cfg.mode_centers, dtype=float)
+        if centers.shape[1] != dim:
+            raise ConfigError("diagnostics.mode_centers",
+                              f"centers have {centers.shape[1]} coordinates, "
+                              f"the target has {dim}")
+        return centers
     if cfg.target == "tri_crescent":
         return diagnostics.tri_crescent_mode_centers()
     return None
+
+
+def _build_problem(cfg: RunConfig):
+    """Build the base target, the run target, the dynamics and the centers.
+
+    Constructor errors (a non-numeric dimension, a non-SPD covariance,
+    negative mixture weights, a malformed dataset) become ConfigErrors, so
+    a malformed config fails before any output is written.
+    """
+    try:
+        base, bnn_extras = _build_base_target(cfg)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        key = "data.path" if cfg.target == "bnn" else "target_params"
+        raise ConfigError(key, str(err)) from None
+    try:
+        aug = _augment(cfg, base)
+        spec = _build_spec(cfg, base, aug.layout)
+    except ValueError as err:
+        raise ConfigError("dynamics", str(err)) from None
+    return base, bnn_extras, aug, spec, _resolve_centers(cfg, base.dim)
 
 
 def _velocity_fn(method: str):
@@ -368,6 +400,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     Returns the summary dict.  Raises ConfigError, NumericalError (with the
     aborting iteration) or OSError.
     """
+    base, bnn_extras, aug_template, spec, centers = _build_problem(cfg)
     out_dir = output_dir if output_dir is not None else cfg.output_dir
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
@@ -377,13 +410,10 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     rng_init, rng_mcmc, rng_resample, rng_batch, rng_ref = (
         np.random.default_rng(s) for s in root.spawn(5))
 
-    base, bnn_extras = _build_base_target(cfg)
     dataset = posterior = None
     if bnn_extras is not None:
         dataset, posterior = bnn_extras
-    aug_template = _augment(cfg, base)
     layout = aug_template.layout
-    spec = _build_spec(cfg, base, layout)
     kernel = KernelConfig(cfg.kernel_mode, cfg.kernel_h, cfg.kernel_h_min)
 
     # Initial ensemble: theta from its init distribution, momentum from its
@@ -406,7 +436,6 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     e = Ensemble(np.concatenate(blocks, axis=1), layout)
 
     # Diagnostics setup.
-    centers = _resolve_centers(cfg)
     ref = None
     if cfg.energy_ref > 0 and base.exact_sampler is not None:
         ref = base.sample_exact(rng_ref, cfg.energy_ref)

@@ -13,9 +13,11 @@ Kinds:
     RLD         Riemannian Langevin:            A = Ginv(theta) I, C = 0
     HMC         underdamped (Hamiltonian):      A = blkdiag(0, a I),
                                                 C = [[0, -I], [I, 0]]
-    NHT         Nose-Hoover thermostat:         3-block form with
-                                                (mu sigma2)^-1 diag(r)
-                                                couplings between r and xi
+    NHT         Nose-Hoover thermostat:         A = blkdiag(0, a I, 0),
+                                                C = [[0, -I, 0],
+                                                     [I, 0, R],
+                                                     [0, -R, 0]],
+                                                R = (mu sigma2)^-1 diag(r)
     RHMC        Riemannian Hamiltonian:         A = blkdiag(0, Ginv I),
                                                 C = [[0, -sqrt(Ginv) I],
                                                      [sqrt(Ginv) I, 0]]
@@ -27,8 +29,12 @@ Kinds:
 The Riemannian metric is the scalar-times-identity reading
 ``Ginv(theta) = d_scale * sqrt(|U(theta) + c_offset|)`` with
 ``U = -logp`` the base target's energy; a floor on the square root keeps the
-metric strictly positive.  Matrices are materialized densely; dimensions here
-are desk-scale.
+metric strictly positive.
+
+No matrix is materialized.  Every kind has a diagonal ``A`` and at most two
+skew couplings in ``C`` (theta<->r and r<->xi), each a scalar or a
+per-particle diagonal times ``I``, so ``(A, C)`` over an ensemble is the
+:class:`StructuredAC` record of the diagonal and the coupling coefficients.
 """
 
 from __future__ import annotations
@@ -43,10 +49,9 @@ from .targets import BlockLayout, TargetDensity
 Array = np.ndarray
 
 KINDS = ("LD", "RLD", "HMC", "NHT", "RHMC", "ThirdOrder")
-_CONSTANT_KINDS = ("LD", "HMC", "ThirdOrder")
-_KINDS_WITH_R = ("HMC", "NHT", "RHMC", "ThirdOrder")
-_KINDS_WITH_XI = ("NHT", "ThirdOrder")
-_RIEMANN_KINDS = ("RLD", "RHMC")
+KINDS_WITH_R = ("HMC", "NHT", "RHMC", "ThirdOrder")
+KINDS_WITH_XI = ("NHT", "ThirdOrder")
+RIEMANN_KINDS = ("RLD", "RHMC")
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,39 @@ class RiemannConfig:
 
 
 @dataclass(frozen=True)
+class StructuredAC:
+    """``(A, C)`` over an ensemble: a diagonal ``A`` and skew block couplings.
+
+    ``A = diag(a)``.  Each coupling ``(c, u, w)`` of ``C`` joins column
+    blocks ``u`` and ``w`` of equal width: ``C[u_k, w_k] = -c_k`` and
+    ``C[w_k, u_k] = c_k`` for each coordinate k of the blocks; every other
+    entry of ``C`` is zero.  The catalog needs at most two couplings,
+    theta<->r and r<->xi.  A coefficient that depends on the state is an
+    (N, 1) or (N, d) array; one that does not is a scalar or a vector
+    broadcasting against each row.
+    """
+
+    a: Array | float
+    couplings: tuple[tuple[Array | float, slice, slice], ...] = ()
+
+    def combine(self, term) -> Array:
+        """Assemble ``(A + C)`` applied blockwise from ``term(c, s)``.
+
+        ``term(c, s)`` must return a new (N, |s|) array: coefficient ``c``
+        times the quantity ``(A + C)`` acts on, restricted to columns ``s``.
+        """
+        out = term(self.a, slice(None))
+        for c, u, w in self.couplings:
+            out[:, u] -= term(c, w)
+            out[:, w] += term(c, u)
+        return out
+
+    def apply(self, V: Array) -> Array:
+        """Row-wise ``(A + C) v`` for an (N, D) batch of vectors."""
+        return self.combine(lambda c, s: c * V[:, s])
+
+
+@dataclass(frozen=True)
 class DynamicsSpec:
     """A named (A, C) parametrization bound to a block layout.
 
@@ -114,7 +152,7 @@ class DynamicsSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown dynamics kind '{self.kind}'")
         lo = self.layout
-        if self.kind in _KINDS_WITH_R:
+        if self.kind in KINDS_WITH_R:
             if not lo.has_r or lo.d_r != lo.d_theta:
                 raise ValueError(f"{self.kind} needs an r block matching theta")
             if self.sigma2 <= 0:
@@ -122,7 +160,7 @@ class DynamicsSpec:
         else:
             if lo.has_r:
                 raise ValueError(f"{self.kind} acts on a theta-only layout")
-        if self.kind in _KINDS_WITH_XI:
+        if self.kind in KINDS_WITH_XI:
             if not lo.has_xi or lo.d_xi != lo.d_theta:
                 raise ValueError(f"{self.kind} needs a xi block matching theta")
             if self.mu <= 0:
@@ -130,21 +168,14 @@ class DynamicsSpec:
         else:
             if lo.has_xi:
                 raise ValueError(f"{self.kind} does not use a xi block")
-        if self.kind in _RIEMANN_KINDS and self.riemann is None:
+        if self.kind in RIEMANN_KINDS and self.riemann is None:
             raise ValueError(f"{self.kind} requires a RiemannConfig")
         if self.friction < 0:
             raise ValueError("friction must be nonnegative")
 
-    # -- helpers -------------------------------------------------------------
-
     @property
     def dim(self) -> int:
         return self.layout.dim
-
-    @property
-    def is_constant(self) -> bool:
-        """True when A and C do not depend on the state."""
-        return self.kind in _CONSTANT_KINDS
 
     def _check_states(self, X: Array) -> Array:
         X = np.asarray(X, dtype=float)
@@ -152,163 +183,46 @@ class DynamicsSpec:
             raise ValueError(f"states have shape {X.shape}, expected (N, {self.dim})")
         return X
 
-    def _metric(self, X: Array) -> tuple[Array, Array]:
-        theta = X[:, self.layout.theta_slice]
-        return self.riemann.metric(theta)
-
-    def constant_matrices(self) -> tuple[Array, Array] | None:
-        """Return (A, C) for state-independent kinds, else None."""
-        if not self.is_constant:
-            return None
-        d = self.dim
-        dt = self.layout.d_theta
-        A = np.zeros((d, d))
-        C = np.zeros((d, d))
-        t = np.arange(dt)
-        if self.kind == "LD":
-            A[t, t] = 1.0
-        elif self.kind == "HMC":
-            r = dt + t
-            A[r, r] = self.friction
-            C[t, r] = -1.0
-            C[r, t] = 1.0
-        else:  # ThirdOrder
-            r = dt + t
-            x = 2 * dt + t
-            A[x, x] = self.friction
-            C[t, r] = -1.0
-            C[r, t] = 1.0
-            C[r, x] = -self.gamma
-            C[x, r] = self.gamma
-        return A, C
-
-    # -- matrix evaluation ----------------------------------------------------
-
-    def A_many(self, X: Array) -> Array:
-        """Diffusion matrices, shape (N, D, D)."""
-        X = self._check_states(X)
-        n, d = X.shape
-        const = self.constant_matrices()
-        if const is not None:
-            return np.broadcast_to(const[0], (n, d, d))
-        dt = self.layout.d_theta
-        t = np.arange(dt)
-        A = np.zeros((n, d, d))
-        if self.kind == "RLD":
-            s, _ = self._metric(X)
-            idx = np.arange(d)
-            A[:, idx, idx] = s[:, None]
-        elif self.kind == "RHMC":
-            s, _ = self._metric(X)
-            r = dt + t
-            A[:, r, r] = s[:, None]
-        else:  # NHT: constant A, varying C
-            r = dt + t
-            A[:, r, r] = self.friction
-        return A
-
-    def C_many(self, X: Array) -> Array:
-        """Curl matrices, shape (N, D, D)."""
-        X = self._check_states(X)
-        n, d = X.shape
-        const = self.constant_matrices()
-        if const is not None:
-            return np.broadcast_to(const[1], (n, d, d))
-        dt = self.layout.d_theta
-        t = np.arange(dt)
-        C = np.zeros((n, d, d))
-        if self.kind == "RLD":
-            return C
-        if self.kind == "RHMC":
-            s, _ = self._metric(X)
-            root = np.sqrt(s)
-            r = dt + t
-            C[:, t, r] = -root[:, None]
-            C[:, r, t] = root[:, None]
-            return C
-        # NHT
-        r = dt + t
-        x = 2 * dt + t
-        coupling = X[:, self.layout.r_slice] / (self.mu * self.sigma2)
-        C[:, t, r] = -1.0
-        C[:, r, t] = 1.0
-        C[:, r, x] = coupling
-        C[:, x, r] = -coupling
-        return C
-
-    def div_many(self, X: Array) -> Array:
-        """Row-wise divergence of A + C, shape (N, D), analytic."""
-        X = self._check_states(X)
-        n, d = X.shape
-        out = np.zeros((n, d))
-        if self.is_constant:
-            return out
+    def _structure(self, X: Array) -> tuple[StructuredAC, Array | None]:
+        """``(A, C)`` at each row plus the divergence of ``A + C`` (None
+        where it vanishes); the metric is evaluated at most once."""
         lo = self.layout
-        if self.kind == "NHT":
-            # Only the xi rows' r-dependence survives.
-            out[:, lo.xi_slice] = -1.0 / (self.mu * self.sigma2)
-            return out
-        s, ds = self._metric(X)
-        if self.kind == "RLD":
-            return ds
-        # RHMC: theta rows vanish; r rows pick up d(sqrt(s))/dtheta.
-        out[:, lo.r_slice] = ds / (2.0 * np.sqrt(s)[:, None])
-        return out
+        t, r, xi = lo.theta_slice, lo.r_slice, lo.xi_slice
+        if self.kind == "LD":
+            return StructuredAC(1.0), None
+        if self.kind in RIEMANN_KINDS:
+            s, ds = self.riemann.metric(X[:, t])
+            if self.kind == "RLD":
+                return StructuredAC(s[:, None]), ds
+            # RHMC: theta rows vanish; r rows pick up d(sqrt(s))/dtheta.
+            root = np.sqrt(s)
+            a = np.zeros_like(X)
+            a[:, r] = s[:, None]
+            div = np.zeros_like(X)
+            div[:, r] = ds / (2.0 * root[:, None])
+            return StructuredAC(a, ((root[:, None], t, r),)), div
+        a = np.zeros(lo.dim)
+        if self.kind == "ThirdOrder":
+            a[xi] = self.friction
+            return StructuredAC(a, ((1.0, t, r), (self.gamma, r, xi))), None
+        a[r] = self.friction
+        if self.kind == "HMC":
+            return StructuredAC(a, ((1.0, t, r),)), None
+        # NHT: only the xi rows' r-dependence survives in the divergence.
+        coupling = -X[:, r] / (self.mu * self.sigma2)
+        div = np.zeros_like(X)
+        div[:, xi] = -1.0 / (self.mu * self.sigma2)
+        return StructuredAC(a, ((1.0, t, r), (coupling, r, xi))), div
 
-    def div_fd(self, x: Array, base_step: float = 1e-5) -> Array:
-        """Finite-difference divergence of A + C (validation fallback)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"state has shape {x.shape}, expected ({self.dim},)")
-        d = self.dim
-        out = np.zeros(d)
-        for j in range(d):
-            h = base_step * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            Ap, Cp = self.eval_AC(xp)
-            Am, Cm = self.eval_AC(xm)
-            out += ((Ap + Cp)[:, j] - (Am + Cm)[:, j]) / (2.0 * h)
-        return out
-
-    # -- single-state interface -----------------------------------------------
-
-    def eval_AC(self, x: Array) -> tuple[Array, Array]:
-        """Dense (A, C) at a single state."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"state has shape {x.shape}, expected ({self.dim},)")
-        X = x[None, :]
-        return self.A_many(X)[0].copy(), self.C_many(X)[0].copy()
-
-    def divergence(self, x: Array) -> Array:
-        """Analytic row-wise divergence of A + C at a single state."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"state has shape {x.shape}, expected ({self.dim},)")
-        return self.div_many(x[None, :])[0]
-
-    # -- drift ----------------------------------------------------------------
-
-    def drift_many(self, X: Array, target) -> Array:
-        """Stationary drift ``(A+C) grad_logp + div(A+C)`` for each row."""
+    def drift_many(self, X: Array, target) -> tuple[Array, StructuredAC]:
+        """Stationary drift ``(A+C) grad_logp + div(A+C)`` for each row,
+        together with the ``(A, C)`` record it was built from."""
         X = self._check_states(X)
         if target.dim != self.dim:
             raise ValueError(
                 f"target dim {target.dim} does not match dynamics dim {self.dim}")
-        grad = target.grad_many(X)
-        const = self.constant_matrices()
-        if const is not None:
-            M = const[0] + const[1]
-            return grad @ M.T
-        M = self.A_many(X) + self.C_many(X)
-        return np.einsum("nij,nj->ni", M, grad) + self.div_many(X)
-
-    def drift(self, target, x: Array) -> Array:
-        """Stationary drift at a single state."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"state has shape {x.shape}, expected ({self.dim},)")
-        return self.drift_many(x[None, :], target)[0]
+        ac, div = self._structure(X)
+        F = ac.apply(target.grad_many(X))
+        if div is not None:
+            F += div
+        return F, ac

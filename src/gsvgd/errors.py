@@ -25,6 +25,3 @@ class NumericalError(RuntimeError):
         self.iteration = iteration
         self.particle = particle
 
-
-class UnsupportedDynamicsError(ValueError):
-    """The requested operation cannot be performed for this dynamics kind."""

@@ -1,10 +1,10 @@
 """Particle velocity fields and stochastic baselines.
 
 The deterministic fields all share one structure: evaluate per-particle
-quantities (drift, matrices, kernel) from an immutable snapshot of the
-ensemble, then combine them.  Velocities are therefore a pure function of the
-snapshot; applying them is a separate phase, and evaluation may be
-parallelized across the outer particle index.
+quantities (drift, (A, C) coefficients, kernel) from an immutable snapshot
+of the ensemble, then combine them.  Velocities are therefore a pure
+function of the snapshot; applying them is a separate phase, and evaluation
+may be parallelized across the outer particle index.
 
 The main field applies the diffusion Stein operator of the (A, C) dynamics
 to the kernel and averages it over the empirical measure:
@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dynamics import DynamicsSpec
-from .errors import NumericalError, UnsupportedDynamicsError
+from .dynamics import DynamicsSpec, StructuredAC
+from .errors import NumericalError
 from .kernels import KernelConfig
 from .targets import BlockLayout
 
@@ -123,32 +123,40 @@ def check_positions(positions: Array) -> Array:
     return positions
 
 
-def _stein_velocity(X: Array, F: Array, M_const: Array | None,
-                    M: Array | None, h: float) -> Array:
+def _per_particle(c) -> bool:
+    """True for an (N, k) coefficient, False for a scalar or a row vector."""
+    return getattr(c, "ndim", 0) == 2
+
+
+def _stein_velocity(X: Array, F: Array, ac: StructuredAC, h: float) -> Array:
     """Average the Stein-operator terms over the empirical measure.
 
-    X: (N, D) positions; F: (N, D) drifts; exactly one of M_const (D, D)
-    and M (N, D, D) gives the matrix multiplying the kernel gradient.
+    X: (N, D) positions; F: (N, D) drifts; ``ac`` gives the matrices
+    ``M_j`` multiplying the kernel gradient.  Each block of ``M_j`` with
+    coefficient ``c`` and source columns ``s`` contributes
+    ``sum_j K_ij c_j (x_i - x_j)_s``: ``c R_s`` with
+    ``R_i = sum_j K_ij (x_i - x_j)`` for a constant ``c``, and
+    ``x_i (K c)_i - (K (c X_s))_i`` for a per-particle one.
     """
-    n, d = X.shape
+    n = X.shape[0]
+    coefs = [ac.a] + [c for c, _, _ in ac.couplings]
+    need_r = not all(_per_particle(c) for c in coefs)
     out = np.empty_like(X)
     chunk = max(1, _MAX_PAIR_BLOCK // n)
-    if M is not None:
-        M_flat = M.reshape(n, d * d)
-        Mx = np.einsum("nij,nj->ni", M, X)
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
         Xc = X[i0:i1]
         K = np.exp(-cdist(Xc, X, "sqeuclidean") / h)
         attract = K @ F
-        if M_const is not None:
-            # sum_j (x_i - x_j) K_ij, then one matrix application per row
+        if need_r:
             R = Xc * K.sum(axis=1)[:, None] - K @ X
-            rep = (2.0 / h) * (R @ M_const.T)
-        else:
-            S = (K @ M_flat).reshape(i1 - i0, d, d)
-            rep = (2.0 / h) * (np.einsum("iab,ib->ia", S, Xc) - K @ Mx)
-        out[i0:i1] = (attract + rep) / n
+
+        def term(c, s):
+            if _per_particle(c):
+                return Xc[:, s] * (K @ c) - K @ (c * X[:, s])
+            return c * R[:, s]
+
+        out[i0:i1] = (attract + (2.0 / h) * ac.combine(term)) / n
     return out
 
 
@@ -163,13 +171,8 @@ def gsvgd_velocity(e: Ensemble, target, spec: DynamicsSpec,
     """
     h = _resolve_bandwidth(e, kernel, h)
     X = e.positions
-    F = _check_drift(spec.drift_many(X, target))
-    const = spec.constant_matrices()
-    if const is not None:
-        vals = _stein_velocity(X, F, const[0] + const[1], None, h)
-    else:
-        vals = _stein_velocity(X, F, None, spec.A_many(X) + spec.C_many(X), h)
-    return VelocityField(vals)
+    F, ac = spec.drift_many(X, target)
+    return VelocityField(_stein_velocity(X, _check_drift(F), ac, h))
 
 
 def gsvgd_velocity_alt(e: Ensemble, target, spec: DynamicsSpec,
@@ -183,13 +186,9 @@ def gsvgd_velocity_alt(e: Ensemble, target, spec: DynamicsSpec,
     """
     h = _resolve_bandwidth(e, kernel, h)
     X = e.positions
-    F = _check_drift(spec.drift_many(X, target))
-    const = spec.constant_matrices()
-    if const is not None:
-        vals = _stein_velocity(X, F, const[0], None, h)
-    else:
-        vals = _stein_velocity(X, F, None, spec.A_many(X), h)
-    return VelocityField(vals)
+    F, ac = spec.drift_many(X, target)
+    a_only = StructuredAC(ac.a)
+    return VelocityField(_stein_velocity(X, _check_drift(F), a_only, h))
 
 
 def blob_grad_log_density(e: Ensemble, kernel: KernelConfig | None = None,
@@ -221,24 +220,14 @@ def parvi_blob_velocity(e: Ensemble, target, spec: DynamicsSpec,
                         h: float | None = None) -> VelocityField:
     """Blob-smoothed transport field ``(A+C)(grad_logp - g) + div(A+C)``.
 
-    ``g`` is the kernel-density score estimate above.  The divergence term
-    vanishes for constant-matrix kinds; for state-dependent kinds it is kept
-    so the field equals the stationary drift minus ``(A+C)`` applied to the
-    score estimate.
+    ``g`` is the kernel-density score estimate above.  The field is the
+    stationary drift minus ``(A+C)`` applied to the score estimate, so the
+    divergence of state-dependent kinds is kept.
     """
     h = _resolve_bandwidth(e, kernel, h)
-    X = e.positions
     ghat = blob_grad_log_density(e, h=h)
-    grad = target.grad_many(X)
-    resid = grad - ghat
-    const = spec.constant_matrices()
-    if const is not None:
-        M = const[0] + const[1]
-        vals = resid @ M.T
-    else:
-        M = spec.A_many(X) + spec.C_many(X)
-        vals = np.einsum("nij,nj->ni", M, resid) + spec.div_many(X)
-    return VelocityField(vals)
+    F, ac = spec.drift_many(e.positions, target)
+    return VelocityField(F - ac.apply(ghat))
 
 
 def mcmc_step(e: Ensemble, target, spec: DynamicsSpec, eps: float,
@@ -246,30 +235,16 @@ def mcmc_step(e: Ensemble, target, spec: DynamicsSpec, eps: float,
     """One Euler-Maruyama step of the stochastic dynamics, per particle.
 
     ``x <- x + eps f(x) + sqrt(2 eps) A(x)^(1/2) xi`` with independent
-    standard normal draws consumed in particle-index order.  Requires a
-    diagonal diffusion matrix (every catalog kind satisfies this under the
-    scalar metric).
+    standard normal draws consumed in particle-index order.  ``A`` is
+    diagonal for every catalog kind, so its square root is elementwise.
     """
     if eps < 0:
         raise ValueError("step size must be nonnegative")
     X = e.positions
-    F = _check_drift(spec.drift_many(X, target))
-    const = spec.constant_matrices()
-    if const is not None:
-        A = const[0]
-        if np.max(np.abs(A - np.diag(np.diag(A)))) > 1e-12:
-            raise UnsupportedDynamicsError(
-                "stochastic baseline requires a diagonal diffusion matrix")
-        diag = np.broadcast_to(np.diag(A), X.shape)
-    else:
-        A = spec.A_many(X)
-        diag = np.einsum("nii->ni", A).copy()
-        off = np.abs(A).sum(axis=(1, 2)) - np.abs(diag).sum(axis=1)
-        if np.max(off) > 1e-12:
-            raise UnsupportedDynamicsError(
-                "stochastic baseline requires a diagonal diffusion matrix")
+    F, ac = spec.drift_many(X, target)
+    F = _check_drift(F)
     noise = rng.standard_normal(X.shape)
-    scale = np.sqrt(np.maximum(diag, 0.0))
+    scale = np.sqrt(ac.a)
     new = X + eps * F + np.sqrt(2.0 * eps) * scale * noise
     return e.with_positions(check_positions(new))
 

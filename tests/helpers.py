@@ -2,10 +2,16 @@
 
 Everything here is deliberately written as plain loops over explicit
 formulas so it cannot share a code path with the library implementations it
-checks.
+checks.  The dense ``(A, C)`` oracle reads only a spec's kind, layout and
+parameters, and the base target's ``logp``/``grad_logp`` for the metric.
 """
 
 import numpy as np
+
+from gsvgd.dynamics import DynamicsSpec, RiemannConfig
+from gsvgd.targets import (BlockLayout, augment_with_momentum,
+                           augment_with_thermostat, standard_gaussian,
+                           tri_crescent_target)
 
 
 def fd_gradient(f, x, step=1e-5):
@@ -47,18 +53,102 @@ def svgd_reference(positions, grad_logp_fn, h):
     return out
 
 
-def stein_term(target, spec, x0, y, h):
+def _metric(riemann, theta):
+    """``Ginv(theta) = d_scale * max(sqrt(|U + c_offset|), floor)`` and its
+    gradient (zero where the floor is active), with ``U = -logp``."""
+    u = -riemann.base.logp(theta) + riemann.c_offset
+    root = np.sqrt(abs(u))
+    if root <= riemann.sqrt_floor:
+        return riemann.d_scale * riemann.sqrt_floor, np.zeros_like(theta)
+    du = -riemann.base.grad_logp(theta)
+    grad = riemann.d_scale * np.sign(u) * du / (2.0 * root)
+    return riemann.d_scale * root, grad
+
+
+def dense_AC(spec, x):
+    """Dense (A, C) of ``spec`` at one state, entry by entry from the
+    catalog table in the ``gsvgd.dynamics`` docstring."""
+    x = np.asarray(x, dtype=float)
+    d = spec.layout.d_theta
+    D = x.size
+    A = np.zeros((D, D))
+    C = np.zeros((D, D))
+    g = _metric(spec.riemann, x[:d])[0] if spec.riemann is not None else None
+    for k in range(d):
+        t, r, xi = k, d + k, 2 * d + k
+        if spec.kind == "LD":
+            A[t, t] = 1.0
+        elif spec.kind == "RLD":
+            A[t, t] = g
+        elif spec.kind == "RHMC":
+            A[r, r] = g
+            C[t, r] = -np.sqrt(g)
+            C[r, t] = np.sqrt(g)
+        else:  # HMC, NHT, ThirdOrder share the theta<->r block
+            C[t, r] = -1.0
+            C[r, t] = 1.0
+            if spec.kind == "ThirdOrder":
+                A[xi, xi] = spec.friction
+                C[r, xi] = -spec.gamma
+                C[xi, r] = spec.gamma
+            else:
+                A[r, r] = spec.friction
+            if spec.kind == "NHT":
+                C[r, xi] = x[r] / (spec.mu * spec.sigma2)
+                C[xi, r] = -x[r] / (spec.mu * spec.sigma2)
+    return A, C
+
+
+def dense_divergence(spec, x):
+    """Analytic row divergence of ``A + C`` for each catalog kind."""
+    x = np.asarray(x, dtype=float)
+    d = spec.layout.d_theta
+    out = np.zeros(x.size)
+    if spec.kind == "NHT":
+        out[2 * d:] = -1.0 / (spec.mu * spec.sigma2)
+    elif spec.kind == "RLD":
+        out[:] = _metric(spec.riemann, x[:d])[1]
+    elif spec.kind == "RHMC":
+        g, dg = _metric(spec.riemann, x[:d])
+        out[d:2 * d] = dg / (2.0 * np.sqrt(g))
+    return out
+
+
+def fd_divergence(spec, x, base_step=1e-5):
+    """Central finite-difference row divergence of the dense ``A + C``."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.size)
+    for j in range(x.size):
+        h = base_step * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        Mp = sum(dense_AC(spec, xp))
+        Mm = sum(dense_AC(spec, xm))
+        out += (Mp[:, j] - Mm[:, j]) / (2.0 * h)
+    return out
+
+
+def dense_drift(spec, target, x):
+    """Stationary drift ``(A + C) grad_logp + div(A + C)`` at one state."""
+    A, C = dense_AC(spec, x)
+    return (A + C) @ target.grad_logp(x) + dense_divergence(spec, x)
+
+
+def stein_term(target, spec, x0, y, h, curl=True):
     """Diffusion Stein operator applied to k(x0, .), evaluated at y.
 
-    Direct formula: f(y) k(x0, y) + (A(y)+C(y)) grad2_k(x0, y).
+    Direct formula: f(y) k(x0, y) + (A(y)+C(y)) grad2_k(x0, y); with
+    ``curl=False`` the kernel gradient is multiplied by A(y) only.
     """
     x0 = np.asarray(x0, dtype=float)
     y = np.asarray(y, dtype=float)
-    A, C = spec.eval_AC(y)
+    A, C = dense_AC(spec, y)
+    M = A + C if curl else A
     diff = x0 - y
     k = np.exp(-np.dot(diff, diff) / h)
-    f = (A + C) @ target.grad_logp(y) + spec.divergence(y)
-    return f * k + (A + C) @ ((2.0 / h) * diff * k)
+    return dense_drift(spec, target, y) * k + M @ ((2.0 / h) * diff * k)
 
 
 def gauss_hermite_stein_expectation(target, spec, x0, h, n_nodes=60):
@@ -75,3 +165,28 @@ def gauss_hermite_stein_expectation(target, spec, x0, h, n_nodes=60):
             total += wa * wb * stein_term(target, spec, x0,
                                           np.array([a, b]), h)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Fixtures shared by the dynamics and sampler tests
+# ---------------------------------------------------------------------------
+
+def make_spec(kind, d_theta=2, friction=0.8, sigma2=1.0, mu=1.5, gamma=0.6,
+              base=None):
+    """Spec plus a matching augmented target for the given kind."""
+    if base is None:
+        base = tri_crescent_target() if d_theta == 2 else standard_gaussian(d_theta)
+    riemann = RiemannConfig(base) if kind in ("RLD", "RHMC") else None
+    if kind in ("LD", "RLD"):
+        layout = BlockLayout.theta_only(d_theta)
+        target = base
+    elif kind in ("HMC", "RHMC"):
+        layout = BlockLayout.with_momentum(d_theta)
+        target = augment_with_momentum(base, sigma2)
+    else:
+        layout = BlockLayout.with_thermostat(d_theta)
+        mean = friction if kind == "NHT" else 0.0
+        target = augment_with_thermostat(base, sigma2, mean, mu)
+    spec = DynamicsSpec(kind, layout, sigma2=sigma2, friction=friction,
+                        mu=mu, gamma=gamma, riemann=riemann)
+    return spec, target

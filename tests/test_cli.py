@@ -254,6 +254,21 @@ class TestMain:
         path.write_text(minimal_config(run={"eps": 0}))
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"target_params": {"dim": "two"}},
+        {"target_params": {"mean": [0.0, 0.0],
+                           "cov": [[1.0, 2.0], [2.0, 1.0]]}},
+        {"target": "gauss_mix", "target_params": {"weights": [1, -1]}},
+        {"diagnostics": {"mode_centers": [[0.0, 0.0, 0.0]]}},
+    ], ids=["dim_not_a_number", "cov_not_spd", "negative_weights",
+            "centers_wrong_dim"])
+    def test_malformed_target_is_config_error(self, tmp_path, overrides):
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(minimal_config(output_dir=str(out), **overrides))
+        assert main(["run", "--config", str(path)]) == 2
+        assert not out.exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
 
@@ -285,8 +300,15 @@ class TestMain:
     def test_console_invocation(self):
         import subprocess
         import sys
+
+        import gsvgd
+        # The child process imports the same package as this one.
+        src = os.path.dirname(os.path.dirname(gsvgd.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         out = subprocess.run(
             [sys.executable, "-m", "gsvgd.cli", "modes", "--target", "gauss"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert out.returncode == 0
         assert out.stdout.strip() == "0.0,0.0"

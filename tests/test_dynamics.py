@@ -2,86 +2,101 @@ import numpy as np
 import pytest
 
 from gsvgd.dynamics import KINDS, DynamicsSpec, RiemannConfig
-from gsvgd.targets import (BlockLayout, TargetDensity, augment_with_momentum,
-                           augment_with_thermostat, standard_gaussian,
-                           tri_crescent_target)
+from gsvgd.targets import BlockLayout, TargetDensity, standard_gaussian
 
-from helpers import fd_gradient, rel_err
-
-
-def make_spec(kind, d_theta=2, friction=0.8, sigma2=1.0, mu=1.5, gamma=0.6,
-              base=None):
-    """Spec plus a matching augmented target for the given kind."""
-    if base is None:
-        base = tri_crescent_target() if d_theta == 2 else standard_gaussian(d_theta)
-    riemann = RiemannConfig(base) if kind in ("RLD", "RHMC") else None
-    if kind in ("LD", "RLD"):
-        layout = BlockLayout.theta_only(d_theta)
-        target = base
-    elif kind in ("HMC", "RHMC"):
-        layout = BlockLayout.with_momentum(d_theta)
-        target = augment_with_momentum(base, sigma2)
-    else:
-        layout = BlockLayout.with_thermostat(d_theta)
-        mean = friction if kind == "NHT" else 0.0
-        target = augment_with_thermostat(base, sigma2, mean, mu)
-    spec = DynamicsSpec(kind, layout, sigma2=sigma2, friction=friction,
-                        mu=mu, gamma=gamma, riemann=riemann)
-    return spec, target
+from helpers import (dense_AC, dense_divergence, dense_drift, fd_divergence,
+                     fd_gradient, make_spec, rel_err)
 
 
 def random_states(spec, rng, n):
     return rng.uniform(-2.0, 2.0, size=(n, spec.dim))
 
 
+def library_AC(spec, target, X):
+    """The library's (A, C) record at each row of X, expanded densely."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    _, ac = spec.drift_many(X, target)
+    n, d = X.shape
+    A = np.zeros((n, d, d))
+    C = np.zeros((n, d, d))
+    idx = np.arange(d)
+    A[:, idx, idx] = np.broadcast_to(ac.a, (n, d))
+    for c, u, w in ac.couplings:
+        rows_u = idx[u]
+        rows_w = idx[w]
+        c = np.broadcast_to(c, (n, rows_u.size))
+        C[:, rows_u, rows_w] = -c
+        C[:, rows_w, rows_u] = c
+    return A, C
+
+
+def library_divergence(spec, X):
+    """The library's div(A + C): the drift under a target with zero score."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    flat = TargetDensity(spec.dim, lambda Y: np.zeros(Y.shape[0]),
+                         lambda Y: np.zeros_like(Y))
+    return spec.drift_many(X, flat)[0]
+
+
 class TestCatalog:
     def test_ld(self):
-        spec, _ = make_spec("LD")
-        A, C = spec.eval_AC(np.array([0.3, -0.4]))
-        np.testing.assert_array_equal(A, np.eye(2))
-        np.testing.assert_array_equal(C, np.zeros((2, 2)))
+        spec, target = make_spec("LD")
+        A, C = library_AC(spec, target, [0.3, -0.4])
+        np.testing.assert_array_equal(A[0], np.eye(2))
+        np.testing.assert_array_equal(C[0], np.zeros((2, 2)))
 
     def test_hmc(self):
-        spec, _ = make_spec("HMC", d_theta=1, friction=0.8)
-        A, C = spec.eval_AC(np.array([0.1, 0.2]))
-        np.testing.assert_array_equal(A, [[0.0, 0.0], [0.0, 0.8]])
-        np.testing.assert_array_equal(C, [[0.0, -1.0], [1.0, 0.0]])
+        spec, target = make_spec("HMC", d_theta=1, friction=0.8)
+        A, C = library_AC(spec, target, [0.1, 0.2])
+        np.testing.assert_array_equal(A[0], [[0.0, 0.0], [0.0, 0.8]])
+        np.testing.assert_array_equal(C[0], [[0.0, -1.0], [1.0, 0.0]])
 
     def test_nht_momentum_coupling(self):
-        spec, _ = make_spec("NHT", d_theta=1, mu=1.0, sigma2=1.0)
-        _, C = spec.eval_AC(np.array([0.5, 2.0, 0.3]))  # r = 2
-        assert C[1, 2] == 2.0
-        assert C[2, 1] == -2.0
+        spec, target = make_spec("NHT", d_theta=1, mu=1.0, sigma2=1.0)
+        _, C = library_AC(spec, target, [0.5, 2.0, 0.3])  # r = 2
+        assert C[0, 1, 2] == 2.0
+        assert C[0, 2, 1] == -2.0
 
     def test_third_order(self):
-        spec, _ = make_spec("ThirdOrder", d_theta=1, friction=0.8, gamma=0.6)
-        A, C = spec.eval_AC(np.array([0.1, 0.2, 0.3]))
-        np.testing.assert_array_equal(np.diag(A), [0.0, 0.0, 0.8])
+        spec, target = make_spec("ThirdOrder", d_theta=1, friction=0.8,
+                                 gamma=0.6)
+        A, C = library_AC(spec, target, [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(np.diag(A[0]), [0.0, 0.0, 0.8])
         np.testing.assert_array_equal(
-            C, [[0.0, -1.0, 0.0], [1.0, 0.0, -0.6], [0.0, 0.6, 0.0]])
+            C[0], [[0.0, -1.0, 0.0], [1.0, 0.0, -0.6], [0.0, 0.6, 0.0]])
 
     def test_rld_scalar_metric(self):
         base = standard_gaussian(2)
-        spec, _ = make_spec("RLD", base=base)
+        spec, target = make_spec("RLD", base=base)
         x = np.array([1.0, 0.0])
-        A, C = spec.eval_AC(x)
+        A, C = library_AC(spec, target, x)
         s = 1.5 * np.sqrt(abs(-base.logp(x) + 0.5))
-        np.testing.assert_allclose(A, s * np.eye(2))
-        np.testing.assert_array_equal(C, np.zeros((2, 2)))
+        np.testing.assert_allclose(A[0], s * np.eye(2))
+        np.testing.assert_array_equal(C[0], np.zeros((2, 2)))
 
     def test_rhmc_blocks(self):
         base = standard_gaussian(1)
-        spec, _ = make_spec("RHMC", d_theta=1, base=base)
-        x = np.array([1.0, 0.3])
-        A, C = spec.eval_AC(x)
+        spec, target = make_spec("RHMC", d_theta=1, base=base)
+        A, C = library_AC(spec, target, [1.0, 0.3])
         s = 1.5 * np.sqrt(abs(0.5 + 0.5))
-        np.testing.assert_allclose(A, [[0.0, 0.0], [0.0, s]])
-        np.testing.assert_allclose(C, [[0.0, -np.sqrt(s)], [np.sqrt(s), 0.0]])
+        np.testing.assert_allclose(A[0], [[0.0, 0.0], [0.0, s]])
+        np.testing.assert_allclose(C[0],
+                                   [[0.0, -np.sqrt(s)], [np.sqrt(s), 0.0]])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_record_matches_dense_oracle(self, kind):
+        spec, target = make_spec(kind)
+        X = random_states(spec, np.random.default_rng(6), 20)
+        A, C = library_AC(spec, target, X)
+        for k, x in enumerate(X):
+            A_ref, C_ref = dense_AC(spec, x)
+            np.testing.assert_allclose(A[k], A_ref, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(C[k], C_ref, rtol=1e-15, atol=0)
 
     def test_layout_mismatch(self):
-        spec, _ = make_spec("HMC", d_theta=1)
+        spec, target = make_spec("HMC", d_theta=1)
         with pytest.raises(ValueError):
-            spec.eval_AC(np.zeros(3))
+            spec.drift_many(np.zeros((1, 3)), target)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -97,11 +112,10 @@ class TestCatalog:
 class TestMatrixInvariants:
     @pytest.mark.parametrize("kind", KINDS)
     def test_psd_and_skew(self, kind):
-        spec, _ = make_spec(kind)
+        spec, target = make_spec(kind)
         rng = np.random.default_rng(7)
         X = random_states(spec, rng, 100)
-        A = spec.A_many(X)
-        C = spec.C_many(X)
+        A, C = library_AC(spec, target, X)
         for k in range(100):
             assert np.min(np.linalg.eigvalsh(A[k])) >= -1e-10
             assert np.max(np.abs(C[k] + C[k].T)) <= 1e-12
@@ -114,30 +128,34 @@ class TestDivergence:
         spec, _ = make_spec(kind)
         rng = np.random.default_rng(8)
         X = random_states(spec, rng, 10)
-        np.testing.assert_array_equal(spec.div_many(X), np.zeros_like(X))
+        np.testing.assert_array_equal(library_divergence(spec, X),
+                                      np.zeros_like(X))
 
     def test_nht_closed_form(self):
         spec, _ = make_spec("NHT", d_theta=3, mu=2.0, sigma2=0.5)
         x = np.random.default_rng(9).standard_normal(9)
         expected = np.concatenate([np.zeros(6), np.full(3, -1.0 / (2.0 * 0.5))])
-        np.testing.assert_allclose(spec.divergence(x), expected)
+        np.testing.assert_allclose(library_divergence(spec, x)[0], expected)
 
     def test_rld_matches_fd_on_crescent(self):
         spec, _ = make_spec("RLD")
         rng = np.random.default_rng(10)
         for x in random_states(spec, rng, 20):
-            assert rel_err(spec.divergence(x), spec.div_fd(x)) <= 1e-5
+            assert rel_err(library_divergence(spec, x)[0],
+                           fd_divergence(spec, x)) <= 1e-5
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_all_kinds_match_fd(self, kind):
         spec, _ = make_spec(kind)
         rng = np.random.default_rng(11)
         for x in random_states(spec, rng, 20):
-            fd = spec.div_fd(x)
-            if np.max(np.abs(fd)) < 1e-9:
-                assert np.max(np.abs(spec.divergence(x))) < 1e-9
-            else:
-                assert rel_err(spec.divergence(x), fd) <= 1e-5
+            fd = fd_divergence(spec, x)
+            for div in (library_divergence(spec, x)[0],
+                        dense_divergence(spec, x)):
+                if np.max(np.abs(fd)) < 1e-9:
+                    assert np.max(np.abs(div)) < 1e-9
+                else:
+                    assert rel_err(div, fd) <= 1e-5
 
 
 class TestMetricFloor:
@@ -173,27 +191,36 @@ class TestDrift:
         spec, target = make_spec("LD")
         rng = np.random.default_rng(12)
         X = random_states(spec, rng, 10)
-        np.testing.assert_allclose(spec.drift_many(X, target),
+        np.testing.assert_allclose(spec.drift_many(X, target)[0],
                                    target.grad_many(X))
 
     def test_hmc_block_form(self):
         spec, target = make_spec("HMC", d_theta=1, friction=0.8, sigma2=1.0)
         base = target.base
         x = np.array([0.7, -0.4])
-        f = spec.drift(target, x)
+        f = spec.drift_many(x[None, :], target)[0][0]
         expected = np.array([-0.4, base.grad_logp(x[:1])[0] - 0.8 * -0.4])
         np.testing.assert_allclose(f, expected)
 
     def test_zero_at_stationary_point(self):
         spec, target = make_spec("HMC", d_theta=2,
                                  base=standard_gaussian(2))
-        f = spec.drift(target, np.zeros(4))
-        np.testing.assert_array_equal(f, np.zeros(4))
+        f = spec.drift_many(np.zeros((1, 4)), target)[0]
+        np.testing.assert_array_equal(f, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_dense_oracle(self, kind):
+        spec, target = make_spec(kind)
+        X = random_states(spec, np.random.default_rng(13), 20)
+        F, _ = spec.drift_many(X, target)
+        for f, x in zip(F, X):
+            np.testing.assert_allclose(f, dense_drift(spec, target, x),
+                                       rtol=1e-12, atol=1e-12)
 
     def test_dim_mismatch(self):
         spec, target = make_spec("HMC", d_theta=1)
         with pytest.raises(ValueError):
-            spec.drift(target, np.zeros(4))
+            spec.drift_many(np.zeros((1, 4)), target)
 
 
 class TestStationarity:
@@ -212,7 +239,7 @@ class TestStationarity:
             return -x
 
         def flux(x):
-            A, C = spec.eval_AC(x)
+            A, C = dense_AC(spec, x)
             w = rho_score(x) - target.grad_logp(x)
             return np.exp(rho_log(x)) * ((A + C) @ w)
 

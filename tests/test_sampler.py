@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsvgd.dynamics import DynamicsSpec
+from gsvgd.dynamics import KINDS, DynamicsSpec
 from gsvgd.errors import NumericalError
 from gsvgd.kernels import KernelConfig, median_bandwidth
 from gsvgd.sampler import (Ensemble, VelocityField, blob_grad_log_density,
@@ -10,7 +10,7 @@ from gsvgd.sampler import (Ensemble, VelocityField, blob_grad_log_density,
 from gsvgd.targets import (BlockLayout, TargetDensity, augment_with_momentum,
                            standard_gaussian)
 
-from helpers import stein_term, svgd_reference
+from helpers import dense_AC, dense_drift, make_spec, stein_term, svgd_reference
 
 
 def ld_setup(dim):
@@ -81,29 +81,29 @@ class TestGsvgdVelocity:
                 axis=0)
             np.testing.assert_allclose(v[i], direct, atol=1e-12)
 
-    def test_state_dependent_matrices_match_direct_sum(self):
-        # Exercises the vectorized path where A and C vary per particle.
-        from gsvgd.dynamics import RiemannConfig
-        from gsvgd.targets import augment_with_thermostat, tri_crescent_target
-
-        base = tri_crescent_target()
-        nht_layout = BlockLayout.with_thermostat(2)
-        nht_target = augment_with_thermostat(base, 0.8, 0.4, 1.5)
-        nht = DynamicsSpec("NHT", nht_layout, sigma2=0.8, friction=0.4, mu=1.5)
-        rhmc_layout = BlockLayout.with_momentum(2)
-        rhmc_target = augment_with_momentum(base, 1.0)
-        rhmc = DynamicsSpec("RHMC", rhmc_layout, sigma2=1.0,
-                            riemann=RiemannConfig(base))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fields_match_dense_oracle(self, kind):
+        # Every kind, every deterministic field, against the dense oracle.
+        spec, target = make_spec(kind, friction=0.4, sigma2=0.8, mu=1.5)
         rng = np.random.default_rng(17)
-        for target, spec, layout in ((nht_target, nht, nht_layout),
-                                     (rhmc_target, rhmc, rhmc_layout)):
-            x = rng.uniform(-1.5, 1.5, size=(5, layout.dim))
-            v = gsvgd_velocity(Ensemble(x, layout), target, spec, h=0.9).values
+        x = rng.uniform(-1.5, 1.5, size=(5, spec.dim))
+        e = Ensemble(x, spec.layout)
+        h = 0.9
+        for field, curl in ((gsvgd_velocity, True),
+                            (gsvgd_velocity_alt, False)):
+            v = field(e, target, spec, h=h).values
             for i in range(5):
                 direct = np.mean(
-                    [stein_term(target, spec, x[i], x[j], 0.9)
+                    [stein_term(target, spec, x[i], x[j], h, curl=curl)
                      for j in range(5)], axis=0)
-                np.testing.assert_allclose(v[i], direct, atol=1e-12)
+                np.testing.assert_allclose(v[i], direct, rtol=1e-12,
+                                           atol=1e-12)
+        v = parvi_blob_velocity(e, target, spec, h=h).values
+        ghat = blob_grad_log_density(e, h=h)
+        for i in range(5):
+            A, C = dense_AC(spec, x[i])
+            direct = dense_drift(spec, target, x[i]) - (A + C) @ ghat[i]
+            np.testing.assert_allclose(v[i], direct, rtol=1e-12, atol=1e-12)
 
     def test_chunked_evaluation_matches_single_pass(self, monkeypatch):
         import gsvgd.sampler as sampler_mod
@@ -174,7 +174,7 @@ class TestAlternativeField:
         for i in range(2):
             acc = np.zeros(2)
             for j in range(2):
-                _, C = spec.eval_AC(x[j])
+                _, C = dense_AC(spec, x[j])
                 d = x[i] - x[j]
                 k = np.exp(-np.dot(d, d) / h)
                 acc += C @ ((2.0 / h) * d * k)
@@ -244,7 +244,7 @@ class TestParviBlob:
         v = parvi_blob_velocity(e, target, spec, h=1.0).values
         ghat = blob_grad_log_density(e, h=1.0)
         for i in range(5):
-            A, C = spec.eval_AC(x[i])
+            A, C = dense_AC(spec, x[i])
             direct = (A + C) @ (target.grad_logp(x[i]) - ghat[i])
             np.testing.assert_allclose(v[i], direct, atol=1e-12)
 
@@ -262,11 +262,28 @@ class TestMcmcStep:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((6, 4))
         e = Ensemble(x, layout)
-        f = spec.drift_many(x, target)
+        f, _ = spec.drift_many(x, target)
         out = mcmc_step(e, target, spec, 0.05, np.random.default_rng(1))
         np.testing.assert_array_equal(out.positions[:, :2],
                                       x[:, :2] + 0.05 * f[:, :2])
         assert np.any(out.positions[:, 2:] != x[:, 2:] + 0.05 * f[:, 2:])
+
+    @pytest.mark.parametrize("kind", ["RLD", "RHMC"])
+    def test_noise_scale_matches_oracle_diffusion(self, kind):
+        # x' = x + eps f + sqrt(2 eps) sqrt(diag A(x)) xi, per coordinate.
+        spec, target = make_spec(kind)
+        rng = np.random.default_rng(14)
+        x = rng.uniform(-1.5, 1.5, size=(6, spec.dim))
+        eps = 0.05
+        out = mcmc_step(Ensemble(x, spec.layout), target, spec, eps,
+                        np.random.default_rng(3)).positions
+        noise = np.random.default_rng(3).standard_normal(x.shape)
+        for i in range(6):
+            A, _ = dense_AC(spec, x[i])
+            expected = (x[i] + eps * dense_drift(spec, target, x[i])
+                        + np.sqrt(2.0 * eps * np.diag(A)) * noise[i])
+            np.testing.assert_allclose(out[i], expected, rtol=1e-12,
+                                       atol=1e-12)
 
     def test_same_seed_reproduces(self):
         target, spec, layout = ld_setup(3)
