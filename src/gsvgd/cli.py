@@ -39,14 +39,13 @@ import numpy as np
 
 from . import bnn as bnn_mod
 from . import diagnostics, targets
-from .dynamics import (KINDS, KINDS_WITH_R, KINDS_WITH_XI, RIEMANN_KINDS,
-                       DynamicsSpec, RiemannConfig)
+from .dynamics import (KINDS, KINDS_WITH_R, RIEMANN_KINDS, DynamicsSpec,
+                       RiemannConfig)
 from .errors import ConfigError, NumericalError
 from .integrator import euler_step, symmetric_split_step
 from .kernels import KernelConfig
 from .sampler import (Ensemble, gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
                       parvi_blob_velocity, resample_momentum)
-from .targets import BlockLayout
 
 TARGETS = ("gauss", "gauss_mix", "tri_crescent", "bnn")
 METHODS = ("svgd", "gsvgd", "gsvgd_alt", "blob", "parvi_blob", "mcmc")
@@ -307,7 +306,8 @@ def _build_base_target(cfg: RunConfig):
             mean = np.asarray(p["mean"], dtype=float)
             cov = np.asarray(p.get("cov", np.eye(mean.size)), dtype=float)
             return targets.gaussian(mean, cov), None
-        return targets.standard_gaussian(int(p.get("dim", 2))), None
+        dim = _integer(p, "target_params", "dim", 2, minimum=1)
+        return targets.standard_gaussian(dim), None
     if cfg.target == "gauss_mix":
         allowed = {"means", "weights", "var"}
         if set(p) - allowed:
@@ -327,22 +327,11 @@ def _build_base_target(cfg: RunConfig):
     return posterior.as_target(), (dataset, posterior)
 
 
-def _augment(cfg: RunConfig, base):
-    if cfg.kind not in KINDS_WITH_R:
-        return base
-    if cfg.kind not in KINDS_WITH_XI:
-        return targets.augment_with_momentum(base, cfg.sigma2)
-    # NHT references the friction constant in the thermostat prior;
-    # ThirdOrder centers its auxiliary block at zero.
-    mean = cfg.friction if cfg.kind == "NHT" else 0.0
-    return targets.augment_with_thermostat(base, cfg.sigma2, mean, cfg.mu)
-
-
-def _build_spec(cfg: RunConfig, base, layout: BlockLayout) -> DynamicsSpec:
+def _build_spec(cfg: RunConfig, base) -> DynamicsSpec:
     riemann = None
     if cfg.kind in RIEMANN_KINDS:
         riemann = RiemannConfig(base, cfg.d_scale, cfg.c_offset)
-    return DynamicsSpec(cfg.kind, layout, sigma2=cfg.sigma2,
+    return DynamicsSpec(cfg.kind, base.dim, sigma2=cfg.sigma2,
                         friction=cfg.friction, mu=cfg.mu, gamma=cfg.gamma,
                         riemann=riemann)
 
@@ -361,11 +350,11 @@ def _resolve_centers(cfg: RunConfig, dim: int):
 
 
 def _build_problem(cfg: RunConfig):
-    """Build the base target, the run target, the dynamics and the centers.
+    """Build the base target, the dynamics and the mode centers.
 
-    Constructor errors (a non-numeric dimension, a non-SPD covariance,
-    negative mixture weights, a malformed dataset) become ConfigErrors, so
-    a malformed config fails before any output is written.
+    Constructor errors (a non-SPD covariance, negative mixture weights, a
+    malformed dataset) become ConfigErrors, so a malformed config fails
+    before any output is written.
     """
     try:
         base, bnn_extras = _build_base_target(cfg)
@@ -375,11 +364,10 @@ def _build_problem(cfg: RunConfig):
         key = "data.path" if cfg.target == "bnn" else "target_params"
         raise ConfigError(key, str(err)) from None
     try:
-        aug = _augment(cfg, base)
-        spec = _build_spec(cfg, base, aug.layout)
+        spec = _build_spec(cfg, base)
     except ValueError as err:
         raise ConfigError("dynamics", str(err)) from None
-    return base, bnn_extras, aug, spec, _resolve_centers(cfg, base.dim)
+    return base, bnn_extras, spec, _resolve_centers(cfg, base.dim)
 
 
 def _velocity_fn(method: str):
@@ -400,7 +388,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     Returns the summary dict.  Raises ConfigError, NumericalError (with the
     aborting iteration) or OSError.
     """
-    base, bnn_extras, aug_template, spec, centers = _build_problem(cfg)
+    base, bnn_extras, spec, centers = _build_problem(cfg)
     out_dir = output_dir if output_dir is not None else cfg.output_dir
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
@@ -413,7 +401,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     dataset = posterior = None
     if bnn_extras is not None:
         dataset, posterior = bnn_extras
-    layout = aug_template.layout
+    layout = spec.layout
     kernel = KernelConfig(cfg.kernel_mode, cfg.kernel_h, cfg.kernel_h_min)
 
     # Initial ensemble: theta from its init distribution, momentum from its
@@ -428,11 +416,10 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
             (n, base.dim))
     blocks = [theta0]
     if layout.has_r:
-        blocks.append(np.sqrt(cfg.sigma2) * rng_init.standard_normal(
+        blocks.append(np.sqrt(spec.sigma2) * rng_init.standard_normal(
             (n, layout.d_r)))
     if layout.has_xi:
-        mean = cfg.friction if cfg.kind == "NHT" else 0.0
-        blocks.append(np.full((n, layout.d_xi), mean))
+        blocks.append(np.full((n, layout.d_xi), spec.xi_mean))
     e = Ensemble(np.concatenate(blocks, axis=1), layout)
 
     # Diagnostics setup.
@@ -478,12 +465,12 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
             os.path.join(snap_dir, "snapshot_00000000.csv"), 0, e.positions)
         summary["initial"] = metrics_of(e)
 
-        target_it = aug_template
+        target_it = spec.augment(base)
         for it in range(1, cfg.iters + 1):
             try:
                 if schedule is not None:
                     base_it = posterior.as_target(schedule.next())
-                    target_it = _augment(cfg, base_it)
+                    target_it = spec.augment(base_it)
                 if cfg.method == "mcmc":
                     e = mcmc_step(e, target_it, spec, cfg.eps, rng_mcmc)
                 else:
@@ -498,7 +485,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
                             field_fn=lambda ens, hh: velocity(
                                 ens, target_it, spec, h=hh))
                 if cfg.resample_period and it % cfg.resample_period == 0:
-                    e = resample_momentum(e, cfg.sigma2, rng_resample)
+                    e = resample_momentum(e, spec, rng_resample)
             except NumericalError as err:
                 raise NumericalError(
                     "run aborted on non-finite value", iteration=it,

@@ -39,7 +39,7 @@ per-particle diagonal times ``I``, so ``(A, C)`` over an ensemble is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -126,56 +126,110 @@ class StructuredAC:
 
 @dataclass(frozen=True)
 class DynamicsSpec:
-    """A named (A, C) parametrization bound to a block layout.
+    """A named (A, C) parametrization on the state its kind augments.
+
+    The kind fixes the blocks of the state: theta alone for LD and RLD, a
+    momentum block ``r`` for HMC and RHMC, and ``r`` plus a thermostat block
+    ``xi`` for NHT and ThirdOrder, each as wide as theta.  The spec also owns
+    the Gaussian factors of those blocks in the target (:meth:`augment`).
 
     Attributes:
         kind: One of :data:`KINDS`.
-        layout: Layout of the state the matrices act on.
-        sigma2: Momentum variance of the matching augmented target.
+        d_theta: Width of the theta block.
+        sigma2: Momentum variance: ``r ~ N(0, sigma2 I)``.
         friction: The scalar ``a`` of the diffusion blocks (HMC, NHT,
-            ThirdOrder); also the thermostat reference mean for NHT.
-        mu: Thermostat precision (NHT; also the xi-block precision used by
-            ThirdOrder augmentation).
+            ThirdOrder).
+        mu: Thermostat precision: ``xi ~ N(xi_mean, 1/mu I)``.
         gamma: Third-order coupling strength.
         riemann: Metric configuration, required for RLD and RHMC.
+        layout: Block layout of the state, derived from ``kind`` and
+            ``d_theta``.
     """
 
     kind: str
-    layout: BlockLayout
+    d_theta: int
     sigma2: float = 1.0
     friction: float = 0.0
     mu: float = 1.0
     gamma: float = 1.0
     riemann: Optional[RiemannConfig] = None
+    layout: BlockLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown dynamics kind '{self.kind}'")
-        lo = self.layout
-        if self.kind in KINDS_WITH_R:
-            if not lo.has_r or lo.d_r != lo.d_theta:
-                raise ValueError(f"{self.kind} needs an r block matching theta")
-            if self.sigma2 <= 0:
-                raise ValueError("sigma2 must be positive")
-        else:
-            if lo.has_r:
-                raise ValueError(f"{self.kind} acts on a theta-only layout")
-        if self.kind in KINDS_WITH_XI:
-            if not lo.has_xi or lo.d_xi != lo.d_theta:
-                raise ValueError(f"{self.kind} needs a xi block matching theta")
-            if self.mu <= 0:
-                raise ValueError("mu must be positive")
-        else:
-            if lo.has_xi:
-                raise ValueError(f"{self.kind} does not use a xi block")
+        if not isinstance(self.d_theta, (int, np.integer)) or self.d_theta < 1:
+            raise ValueError("d_theta must be a positive integer")
+        if self.sigma2 <= 0:
+            raise ValueError("sigma2 must be positive")
+        if self.mu <= 0:
+            raise ValueError("mu must be positive")
         if self.kind in RIEMANN_KINDS and self.riemann is None:
             raise ValueError(f"{self.kind} requires a RiemannConfig")
         if self.friction < 0:
             raise ValueError("friction must be nonnegative")
+        if self.kind in KINDS_WITH_XI:
+            layout = BlockLayout.with_thermostat(self.d_theta)
+        elif self.kind in KINDS_WITH_R:
+            layout = BlockLayout.with_momentum(self.d_theta)
+        else:
+            layout = BlockLayout.theta_only(self.d_theta)
+        object.__setattr__(self, "layout", layout)
 
     @property
     def dim(self) -> int:
         return self.layout.dim
+
+    @property
+    def xi_mean(self) -> float:
+        """Mean of the thermostat factor: the friction for NHT, else 0."""
+        return self.friction if self.kind == "NHT" else 0.0
+
+    def augment(self, base: TargetDensity) -> TargetDensity:
+        """The target on this spec's state: ``base`` on theta times
+        ``N(r | 0, sigma2 I)`` and ``N(xi | xi_mean, 1/mu I)`` for the blocks
+        the kind has.  Returns ``base`` itself for LD and RLD.
+
+        The density factorizes, so the theta-block score is the base's.  The
+        exact sampler, present when ``base`` has one, draws theta, then r,
+        then xi.
+        """
+        lo = self.layout
+        if base.dim != lo.d_theta:
+            raise ValueError(
+                f"target dim {base.dim} does not match d_theta {lo.d_theta}")
+        if not lo.has_r:
+            return base
+        t, r, xi, has_xi = lo.theta_slice, lo.r_slice, lo.xi_slice, lo.has_xi
+        sigma2, mu, mean = self.sigma2, self.mu, self.xi_mean
+
+        def logp_fn(X: Array) -> Array:
+            out = base.logp_many(X[:, t])
+            out = out - 0.5 * np.sum(X[:, r] ** 2, axis=1) / sigma2
+            if has_xi:
+                out = out - 0.5 * mu * np.sum((X[:, xi] - mean) ** 2, axis=1)
+            return out
+
+        def grad_fn(X: Array) -> Array:
+            out = np.empty_like(X)
+            out[:, t] = base.grad_many(X[:, t])
+            out[:, r] = -X[:, r] / sigma2
+            if has_xi:
+                out[:, xi] = -mu * (X[:, xi] - mean)
+            return out
+
+        sampler = None
+        if base.exact_sampler is not None:
+            def sampler(rng: np.random.Generator, n: int) -> Array:
+                blocks = [base.sample_exact(rng, n),
+                          np.sqrt(sigma2) * rng.standard_normal((n, lo.d_r))]
+                if has_xi:
+                    blocks.append(
+                        mean + rng.standard_normal((n, lo.d_xi)) / np.sqrt(mu))
+                return np.concatenate(blocks, axis=1)
+
+        name = base.name + ("+r+xi" if has_xi else "+r")
+        return TargetDensity(lo.dim, logp_fn, grad_fn, sampler, name)
 
     def _check_states(self, X: Array) -> Array:
         X = np.asarray(X, dtype=float)

@@ -1,4 +1,4 @@
-"""Squared-exponential kernel with median-heuristic bandwidth.
+"""Median-heuristic bandwidth of the squared-exponential kernel.
 
 Convention: ``k(x, y) = exp(-||x - y||^2 / h)`` with bandwidth
 ``h = med^2 / log N``, where ``med`` is the median of the off-diagonal
@@ -11,46 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import pdist
 
 Array = np.ndarray
-
-
-def rbf_eval(x: Array, y: Array, h: float) -> float:
-    """Evaluate ``exp(-||x - y||^2 / h)`` for a single pair."""
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("x and y must have the same shape")
-    d = x - y
-    return float(np.exp(-np.dot(d, d) / h))
-
-
-def rbf_grad2(x: Array, y: Array, h: float) -> Array:
-    """Gradient of ``rbf_eval`` in its second argument: ``(2/h)(x-y)k(x,y)``."""
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("x and y must have the same shape")
-    d = x - y
-    return (2.0 / h) * d * np.exp(-np.dot(d, d) / h)
-
-
-def rbf_grad1(x: Array, y: Array, h: float) -> Array:
-    """Gradient in the first argument; equals ``-rbf_grad2(x, y, h)``."""
-    return -rbf_grad2(x, y, h)
-
-
-def rbf_matrix(X: Array, h: float, Y: Array | None = None) -> Array:
-    """Kernel matrix ``K[i, j] = k(X[i], Y[j])`` (``Y`` defaults to ``X``)."""
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
-    d2 = cdist(X, X if Y is None else Y, "sqeuclidean")
-    return np.exp(-d2 / h)
 
 
 def median_bandwidth(positions, h_min: float = 1e-6) -> float:

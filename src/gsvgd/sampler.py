@@ -249,17 +249,15 @@ def mcmc_step(e: Ensemble, target, spec: DynamicsSpec, eps: float,
     return e.with_positions(check_positions(new))
 
 
-def resample_momentum(e: Ensemble, sigma2: float,
+def resample_momentum(e: Ensemble, spec: DynamicsSpec,
                       rng: np.random.Generator) -> Ensemble:
-    """Redraw every particle's r block i.i.d. from N(0, sigma2 I).
+    """Redraw every particle's r block i.i.d. from N(0, spec.sigma2 I).
 
     Theta and xi blocks are carried over bit for bit.
     """
-    if sigma2 <= 0:
-        raise ValueError("momentum variance must be positive")
     if not e.layout.has_r:
         raise ValueError("ensemble layout has no momentum block")
     new = e.positions.copy()
-    new[:, e.layout.r_slice] = np.sqrt(sigma2) * rng.standard_normal(
+    new[:, e.layout.r_slice] = np.sqrt(spec.sigma2) * rng.standard_normal(
         (e.n, e.layout.d_r))
     return e.with_positions(new)

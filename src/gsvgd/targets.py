@@ -4,11 +4,10 @@ All targets drop additive normalization constants (``logp`` of a standard
 Gaussian at the origin is 0, not ``-D/2 log 2pi``).  Diagnostics therefore
 never compare absolute ``logp`` values across different targets.
 
-Targets over a parameter block ``theta`` can be augmented with a Gaussian
-momentum block ``r`` and, optionally, a Gaussian thermostat block ``xi``,
-producing a product density on the stacked state ``(theta, r, xi)``.
-Evaluators are pure and stateless after construction, so they are safe to
-call concurrently.
+A :class:`BlockLayout` carves a stacked state into ``theta``, momentum
+``r`` and thermostat ``xi`` blocks; the dynamics derives it from its kind
+and builds the product target on that state.  Evaluators are pure and
+stateless after construction, so they are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ class TargetDensity:
         logp_fn: Batched evaluator, ``(N, D) -> (N,)``.
         grad_fn: Batched gradient, ``(N, D) -> (N, D)``.
         exact_sampler: Optional ``(rng, n) -> (n, D)`` drawing exact samples;
-            present for Gaussian and mixture targets only.
+            present for Gaussian and mixture targets and their augmentations.
         name: Short identifier used in run configs.
     """
 
@@ -155,10 +154,6 @@ class TargetDensity:
         if self.exact_sampler is None:
             raise ValueError(f"target '{self.name}' has no exact sampler")
         return self.exact_sampler(rng, n)
-
-    @property
-    def layout(self) -> BlockLayout:
-        return BlockLayout.theta_only(self.dim)
 
 
 def gaussian(mean: Array, cov: Array, name: str = "gauss") -> TargetDensity:
@@ -270,133 +265,3 @@ def tri_crescent_target() -> TargetDensity:
                          np.sum(w * dt_dy, axis=1)], axis=1)
 
     return TargetDensity(2, logp_fn, grad_fn, None, "tri_crescent")
-
-
-# ---------------------------------------------------------------------------
-# Augmentation with momentum / thermostat blocks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AugmentedTarget:
-    """Product target ``pi(theta) N(r | 0, s2 I) [N(xi | a*1, 1/mu I)]``.
-
-    Duck-types as a :class:`TargetDensity` over the stacked state.  The
-    density factorizes, so the theta-block gradient equals the base target's
-    gradient at every point.
-
-    Attributes:
-        base: Target over the theta block.
-        momentum_var: Momentum variance ``s2 > 0``.
-        thermostat: Optional ``(friction, mu)`` pair giving the xi block a
-            ``N(friction * 1, 1/mu I)`` factor.
-        layout: Block layout of the stacked state.
-    """
-
-    base: TargetDensity
-    momentum_var: float
-    thermostat: Optional[tuple[float, float]]
-    layout: BlockLayout
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
-    @property
-    def name(self) -> str:
-        return self.base.name + ("+r+xi" if self.thermostat else "+r")
-
-    def _split(self, X: Array):
-        lo = self.layout
-        return X[:, lo.theta_slice], X[:, lo.r_slice], X[:, lo.xi_slice]
-
-    def logp_fn(self, X: Array) -> Array:
-        theta, r, xi = self._split(X)
-        out = self.base.logp_many(theta)
-        out = out - 0.5 * np.sum(r ** 2, axis=1) / self.momentum_var
-        if self.thermostat is not None:
-            friction, mu = self.thermostat
-            out = out - 0.5 * mu * np.sum((xi - friction) ** 2, axis=1)
-        return out
-
-    def grad_fn(self, X: Array) -> Array:
-        theta, r, xi = self._split(X)
-        out = np.empty_like(X)
-        lo = self.layout
-        out[:, lo.theta_slice] = self.base.grad_many(theta)
-        out[:, lo.r_slice] = -r / self.momentum_var
-        if self.thermostat is not None:
-            friction, mu = self.thermostat
-            out[:, lo.xi_slice] = -mu * (xi - friction)
-        return out
-
-    # TargetDensity interface -------------------------------------------------
-
-    def logp(self, x: Array) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
-        return float(self.logp_fn(x[None, :])[0])
-
-    def grad_logp(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
-        return self.grad_fn(x[None, :])[0]
-
-    def logp_many(self, X: Array) -> Array:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"batch has shape {X.shape}, expected (N, {self.dim})")
-        return self.logp_fn(X)
-
-    def grad_many(self, X: Array) -> Array:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"batch has shape {X.shape}, expected (N, {self.dim})")
-        return self.grad_fn(X)
-
-    @property
-    def exact_sampler(self):
-        if self.base.exact_sampler is None:
-            return None
-
-        def sampler(rng: np.random.Generator, n: int) -> Array:
-            # Draw order: theta, then r, then xi.
-            theta = self.base.sample_exact(rng, n)
-            r = np.sqrt(self.momentum_var) * rng.standard_normal(
-                (n, self.layout.d_r))
-            blocks = [theta, r]
-            if self.thermostat is not None:
-                friction, mu = self.thermostat
-                xi = friction + rng.standard_normal(
-                    (n, self.layout.d_xi)) / np.sqrt(mu)
-                blocks.append(xi)
-            return np.concatenate(blocks, axis=1)
-
-        return sampler
-
-    def sample_exact(self, rng: np.random.Generator, n: int) -> Array:
-        sampler = self.exact_sampler
-        if sampler is None:
-            raise ValueError(f"target '{self.name}' has no exact sampler")
-        return sampler(rng, n)
-
-
-def augment_with_momentum(t: TargetDensity, sigma2: float) -> AugmentedTarget:
-    """Append a momentum block ``r ~ N(0, sigma2 I)`` to a target."""
-    if sigma2 <= 0:
-        raise ValueError("momentum variance must be positive")
-    return AugmentedTarget(t, float(sigma2), None,
-                           BlockLayout.with_momentum(t.dim))
-
-
-def augment_with_thermostat(t: TargetDensity, sigma2: float,
-                            friction: float, mu: float) -> AugmentedTarget:
-    """Append momentum ``r ~ N(0, sigma2 I)`` and thermostat
-    ``xi ~ N(friction * 1, 1/mu I)`` blocks to a target."""
-    if sigma2 <= 0:
-        raise ValueError("momentum variance must be positive")
-    if mu <= 0:
-        raise ValueError("thermostat precision mu must be positive")
-    return AugmentedTarget(t, float(sigma2), (float(friction), float(mu)),
-                           BlockLayout.with_thermostat(t.dim))

@@ -2,16 +2,14 @@
 
 Everything here is deliberately written as plain loops over explicit
 formulas so it cannot share a code path with the library implementations it
-checks.  The dense ``(A, C)`` oracle reads only a spec's kind, layout and
+checks.  The dense ``(A, C)`` oracle reads only a spec's kind and
 parameters, and the base target's ``logp``/``grad_logp`` for the metric.
 """
 
 import numpy as np
 
-from gsvgd.dynamics import DynamicsSpec, RiemannConfig
-from gsvgd.targets import (BlockLayout, augment_with_momentum,
-                           augment_with_thermostat, standard_gaussian,
-                           tri_crescent_target)
+from gsvgd.dynamics import RIEMANN_KINDS, DynamicsSpec, RiemannConfig
+from gsvgd.targets import standard_gaussian, tri_crescent_target
 
 
 def fd_gradient(f, x, step=1e-5):
@@ -69,7 +67,7 @@ def dense_AC(spec, x):
     """Dense (A, C) of ``spec`` at one state, entry by entry from the
     catalog table in the ``gsvgd.dynamics`` docstring."""
     x = np.asarray(x, dtype=float)
-    d = spec.layout.d_theta
+    d = spec.d_theta
     D = x.size
     A = np.zeros((D, D))
     C = np.zeros((D, D))
@@ -102,7 +100,7 @@ def dense_AC(spec, x):
 def dense_divergence(spec, x):
     """Analytic row divergence of ``A + C`` for each catalog kind."""
     x = np.asarray(x, dtype=float)
-    d = spec.layout.d_theta
+    d = spec.d_theta
     out = np.zeros(x.size)
     if spec.kind == "NHT":
         out[2 * d:] = -1.0 / (spec.mu * spec.sigma2)
@@ -173,20 +171,10 @@ def gauss_hermite_stein_expectation(target, spec, x0, h, n_nodes=60):
 
 def make_spec(kind, d_theta=2, friction=0.8, sigma2=1.0, mu=1.5, gamma=0.6,
               base=None):
-    """Spec plus a matching augmented target for the given kind."""
+    """Spec plus its augmented target for the given kind."""
     if base is None:
         base = tri_crescent_target() if d_theta == 2 else standard_gaussian(d_theta)
-    riemann = RiemannConfig(base) if kind in ("RLD", "RHMC") else None
-    if kind in ("LD", "RLD"):
-        layout = BlockLayout.theta_only(d_theta)
-        target = base
-    elif kind in ("HMC", "RHMC"):
-        layout = BlockLayout.with_momentum(d_theta)
-        target = augment_with_momentum(base, sigma2)
-    else:
-        layout = BlockLayout.with_thermostat(d_theta)
-        mean = friction if kind == "NHT" else 0.0
-        target = augment_with_thermostat(base, sigma2, mean, mu)
-    spec = DynamicsSpec(kind, layout, sigma2=sigma2, friction=friction,
+    riemann = RiemannConfig(base) if kind in RIEMANN_KINDS else None
+    spec = DynamicsSpec(kind, d_theta, sigma2=sigma2, friction=friction,
                         mu=mu, gamma=gamma, riemann=riemann)
-    return spec, target
+    return spec, spec.augment(base)

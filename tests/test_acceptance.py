@@ -35,8 +35,8 @@ def test_criterion_01_svgd_reduction():
         n = int(rng.integers(1, 17))
         d = int(rng.integers(1, 5))
         target = g.standard_gaussian(d)
-        layout = g.BlockLayout.theta_only(d)
-        spec = g.DynamicsSpec("LD", layout)
+        spec = g.DynamicsSpec("LD", d)
+        layout = spec.layout
         x = rng.standard_normal((n, d))
         h = float(rng.uniform(0.5, 3.0))
         v = g.gsvgd_velocity(g.Ensemble(x, layout), target, spec, h=h).values
@@ -52,9 +52,9 @@ def test_criterion_01_svgd_reduction():
 
 def test_criterion_02_stein_identity():
     base = g.standard_gaussian(1)
-    aug = g.augment_with_momentum(base, 1.0)
-    layout = g.BlockLayout.with_momentum(1)
-    spec = g.DynamicsSpec("HMC", layout, sigma2=1.0, friction=1.0)
+    spec = g.DynamicsSpec("HMC", 1, sigma2=1.0, friction=1.0)
+    aug = spec.augment(base)
+    layout = spec.layout
     h = 1.0
 
     for c in (0.0, 1.0, -2.0):
@@ -116,14 +116,12 @@ def test_criterion_04_divergence_oracle():
     base2 = g.tri_crescent_target()
     riemann = g.RiemannConfig(base2)
     specs = [
-        g.DynamicsSpec("LD", g.BlockLayout.theta_only(2)),
-        g.DynamicsSpec("RLD", g.BlockLayout.theta_only(2), riemann=riemann),
-        g.DynamicsSpec("HMC", g.BlockLayout.with_momentum(2), friction=0.7),
-        g.DynamicsSpec("RHMC", g.BlockLayout.with_momentum(2), riemann=riemann),
-        g.DynamicsSpec("NHT", g.BlockLayout.with_thermostat(2), friction=0.7,
-                       mu=1.3, sigma2=0.8),
-        g.DynamicsSpec("ThirdOrder", g.BlockLayout.with_thermostat(2),
-                       friction=0.7, gamma=0.6),
+        g.DynamicsSpec("LD", 2),
+        g.DynamicsSpec("RLD", 2, riemann=riemann),
+        g.DynamicsSpec("HMC", 2, friction=0.7),
+        g.DynamicsSpec("RHMC", 2, riemann=riemann),
+        g.DynamicsSpec("NHT", 2, friction=0.7, mu=1.3, sigma2=0.8),
+        g.DynamicsSpec("ThirdOrder", 2, friction=0.7, gamma=0.6),
     ]
     for spec in specs:
         # The drift under a zero score is the library's div(A + C).
@@ -149,9 +147,9 @@ def test_criterion_05_gaussian_convergence():
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     base = g.gaussian(mean, cov)
     sigma2, friction, eps, iters = 0.01, 0.2, 0.04, 5000
-    aug = g.augment_with_momentum(base, sigma2)
-    layout = g.BlockLayout.with_momentum(2)
-    spec = g.DynamicsSpec("HMC", layout, sigma2=sigma2, friction=friction)
+    spec = g.DynamicsSpec("HMC", 2, sigma2=sigma2, friction=friction)
+    aug = spec.augment(base)
+    layout = spec.layout
     kernel = g.KernelConfig("median")
 
     rng = np.random.default_rng(505)
@@ -185,9 +183,9 @@ def test_criterion_05_gaussian_convergence():
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_leapfrog_degeneracy():
-    target = g.augment_with_momentum(g.standard_gaussian(1), 1.0)
-    layout = g.BlockLayout.with_momentum(1)
-    spec = g.DynamicsSpec("HMC", layout, sigma2=1.0, friction=0.0)
+    spec = g.DynamicsSpec("HMC", 1, sigma2=1.0, friction=0.0)
+    target = spec.augment(g.standard_gaussian(1))
+    layout = spec.layout
 
     def max_energy_error(eps, steps, check_leapfrog=False):
         e = g.Ensemble(np.array([[1.0, 0.0]]), layout)
@@ -238,7 +236,6 @@ def test_criterion_07_mode_exploration():
     centers = tri_crescent_mode_centers()
     radius = 1.2
     layout2 = g.BlockLayout.theta_only(2)
-    layout4 = g.BlockLayout.with_momentum(2)
     budget, n_particles = 20_000, 200
 
     def occupancy(theta):
@@ -246,14 +243,14 @@ def test_criterion_07_mode_exploration():
 
     def rhmc_best_joint_occupancy(seed):
         sigma2 = 4.0
-        aug = g.augment_with_momentum(base, sigma2)
-        spec = g.DynamicsSpec("RHMC", layout4, sigma2=sigma2,
+        spec = g.DynamicsSpec("RHMC", 2, sigma2=sigma2,
                               riemann=g.RiemannConfig(base, 1.5, 0.5))
+        aug = spec.augment(base)
         rng = np.random.default_rng(seed)
         e = g.Ensemble(
             np.hstack([0.1 * rng.standard_normal((n_particles, 2)),
                        np.sqrt(sigma2) * rng.standard_normal((n_particles, 2))]),
-            layout4)
+            spec.layout)
         best = -1.0
         for it in range(1, budget + 1):
             h = kernel.bandwidth(e.positions)
@@ -264,7 +261,7 @@ def test_criterion_07_mode_exploration():
         return best
 
     def svgd_stays_in_one_mode(seed):
-        spec = g.DynamicsSpec("LD", layout2)
+        spec = g.DynamicsSpec("LD", 2)
         rng = np.random.default_rng(seed)
         e = g.Ensemble(0.1 * rng.standard_normal((n_particles, 2)), layout2)
         max_tips, occ = 0.0, None
@@ -317,8 +314,8 @@ def test_criterion_08_bnn_directional():
 
     def run_sghmc_stein(ds, seed, eps=0.01, sigma2=1.0):
         post = bnn_mod.BNNPosterior(ds, hidden=hidden)
-        layout = g.BlockLayout.with_momentum(post.dim)
-        spec = g.DynamicsSpec("HMC", layout, sigma2=sigma2, friction=1.0)
+        spec = g.DynamicsSpec("HMC", post.dim, sigma2=sigma2, friction=1.0)
+        layout = spec.layout
         kernel = g.KernelConfig("median")
         rng = np.random.default_rng(seed)
         theta0 = np.stack([bnn_mod.init_params(rng, 1, hidden)
@@ -329,8 +326,7 @@ def test_criterion_08_bnn_directional():
                                           np.random.default_rng(seed + 99))
         first = None
         for it in range(1, iters + 1):
-            target = g.augment_with_momentum(post.as_target(sched.next()),
-                                             sigma2)
+            target = spec.augment(post.as_target(sched.next()))
             h = kernel.bandwidth(e.positions)
             e = g.symmetric_split_step(e, target, spec, eps=eps, h=h)
             if it == 1:
@@ -339,8 +335,8 @@ def test_criterion_08_bnn_directional():
 
     def run_langevin(ds, seed, eps=1e-4):
         post = bnn_mod.BNNPosterior(ds, hidden=hidden)
-        layout = g.BlockLayout.theta_only(post.dim)
-        spec = g.DynamicsSpec("LD", layout)
+        spec = g.DynamicsSpec("LD", post.dim)
+        layout = spec.layout
         rng = np.random.default_rng(seed)
         e = g.Ensemble(np.stack([bnn_mod.init_params(rng, 1, hidden)
                                  for _ in range(n_particles)]), layout)
@@ -376,9 +372,9 @@ def test_criterion_08_bnn_directional():
 
 def test_criterion_09_alternative_field_nonvanishing():
     base = g.standard_gaussian(1)
-    aug = g.augment_with_momentum(base, 1.0)
-    layout = g.BlockLayout.with_momentum(1)
-    spec = g.DynamicsSpec("HMC", layout, sigma2=1.0, friction=1.0)
+    spec = g.DynamicsSpec("HMC", 1, sigma2=1.0, friction=1.0)
+    aug = spec.augment(base)
+    layout = spec.layout
     rng = np.random.default_rng(909)
 
     def mean_sq(m, field):

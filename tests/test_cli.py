@@ -254,20 +254,27 @@ class TestMain:
         path.write_text(minimal_config(run={"eps": 0}))
         assert main(["run", "--config", str(path)]) == 2
 
-    @pytest.mark.parametrize("overrides", [
-        {"target_params": {"dim": "two"}},
-        {"target_params": {"mean": [0.0, 0.0],
-                           "cov": [[1.0, 2.0], [2.0, 1.0]]}},
-        {"target": "gauss_mix", "target_params": {"weights": [1, -1]}},
-        {"diagnostics": {"mode_centers": [[0.0, 0.0, 0.0]]}},
-    ], ids=["dim_not_a_number", "cov_not_spd", "negative_weights",
-            "centers_wrong_dim"])
-    def test_malformed_target_is_config_error(self, tmp_path, overrides):
+    @pytest.mark.parametrize("overrides,key", [
+        ({"target_params": {"dim": "two"}}, "target_params.dim"),
+        ({"target_params": {"dim": 0}}, "target_params.dim"),
+        ({"target_params": {"dim": 2.7}}, "target_params.dim"),
+        ({"target_params": {"dim": True}}, "target_params.dim"),
+        ({"target_params": {"mean": [0.0, 0.0],
+                            "cov": [[1.0, 2.0], [2.0, 1.0]]}}, "target_params"),
+        ({"target": "gauss_mix", "target_params": {"weights": [1, -1]}},
+         "target_params"),
+        ({"diagnostics": {"mode_centers": [[0.0, 0.0, 0.0]]}},
+         "diagnostics.mode_centers"),
+    ], ids=["dim_not_a_number", "dim_zero", "dim_fractional", "dim_bool",
+            "cov_not_spd", "negative_weights", "centers_wrong_dim"])
+    def test_malformed_target_is_config_error(self, tmp_path, capsys,
+                                              overrides, key):
         out = tmp_path / "out"
         path = tmp_path / "cfg.json"
         path.write_text(minimal_config(output_dir=str(out), **overrides))
         assert main(["run", "--config", str(path)]) == 2
         assert not out.exists()
+        assert f"config error: {key}:" in capsys.readouterr().err
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gsvgd.dynamics import KINDS, DynamicsSpec, RiemannConfig
-from gsvgd.targets import BlockLayout, TargetDensity, standard_gaussian
+from gsvgd.dynamics import KINDS, RIEMANN_KINDS, DynamicsSpec, RiemannConfig
+from gsvgd.targets import (TargetDensity, gaussian, standard_gaussian,
+                           tri_crescent_target)
 
 from helpers import (dense_AC, dense_divergence, dense_drift, fd_divergence,
                      fd_gradient, make_spec, rel_err)
@@ -100,13 +101,77 @@ class TestCatalog:
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            DynamicsSpec("LD", BlockLayout.with_momentum(1))
+            DynamicsSpec("RLD", 2)  # no riemann
         with pytest.raises(ValueError):
-            DynamicsSpec("HMC", BlockLayout.theta_only(2))
+            DynamicsSpec("frog", 2)
         with pytest.raises(ValueError):
-            DynamicsSpec("RLD", BlockLayout.theta_only(2))  # no riemann
-        with pytest.raises(ValueError):
-            DynamicsSpec("frog", BlockLayout.theta_only(2))
+            DynamicsSpec("LD", 0)
+
+    @pytest.mark.parametrize("kind,widths", [
+        ("LD", (3, 0, 0)), ("RLD", (3, 0, 0)), ("HMC", (3, 3, 0)),
+        ("RHMC", (3, 3, 0)), ("NHT", (3, 3, 3)), ("ThirdOrder", (3, 3, 3))])
+    def test_layout_follows_kind(self, kind, widths):
+        riemann = RiemannConfig(standard_gaussian(3))
+        lo = DynamicsSpec(kind, 3, riemann=riemann).layout
+        assert (lo.d_theta, lo.d_r, lo.d_xi) == widths
+
+
+# Thermostat means at friction 0.5: NHT centers xi at the friction,
+# ThirdOrder at zero.
+XI_MEAN = {"NHT": 0.5, "ThirdOrder": 0.0}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_augment(kind):
+    sigma2, mu, friction = 2.0, 4.0, 0.5
+
+    def spec_for(base):
+        riemann = RiemannConfig(base) if kind in RIEMANN_KINDS else None
+        return DynamicsSpec(kind, 2, sigma2=sigma2, friction=friction, mu=mu,
+                            riemann=riemann)
+
+    base = gaussian([1.0, -1.0], [[1.0, 0.5], [0.5, 1.0]])
+    spec = spec_for(base)
+    target = spec.augment(base)
+    lo = spec.layout
+    assert target.dim == lo.dim
+    if kind in ("LD", "RLD"):
+        assert target is base
+    with pytest.raises(ValueError):
+        spec.augment(standard_gaussian(3))
+
+    X = np.random.default_rng(21).uniform(-2.0, 2.0, size=(7, lo.dim))
+    np.testing.assert_array_equal(target.grad_many(X)[:, lo.theta_slice],
+                                  base.grad_many(X[:, lo.theta_slice]))
+    if lo.has_r:
+        # r = (1, -3): -r/sigma2 = (-0.5, 1.5).  xi - xi_mean = (1, -0.5):
+        # -mu (xi - xi_mean) = (-4, 2).
+        x = [0.3, -0.2, 1.0, -3.0]
+        if lo.has_xi:
+            x += [XI_MEAN[kind] + 1.0, XI_MEAN[kind] - 0.5]
+        g = target.grad_logp(np.array(x))
+        np.testing.assert_allclose(g[lo.r_slice], [-0.5, 1.5], rtol=1e-15)
+        if lo.has_xi:
+            np.testing.assert_allclose(g[lo.xi_slice], [-4.0, 2.0],
+                                       rtol=1e-15)
+
+    S = target.sample_exact(np.random.default_rng(22), 40_000)
+    assert S.shape == (40_000, lo.dim)
+    np.testing.assert_allclose(S[:, lo.theta_slice].mean(axis=0),
+                               [1.0, -1.0], atol=0.03)
+    if lo.has_r:
+        assert np.max(np.abs(S[:, lo.r_slice].mean(axis=0))) < 0.04
+        assert np.max(np.abs(S[:, lo.r_slice].var(axis=0) - sigma2)) < 0.08
+    if lo.has_xi:
+        xi = S[:, lo.xi_slice]
+        assert np.max(np.abs(xi.mean(axis=0) - XI_MEAN[kind])) < 0.01
+        assert np.max(np.abs(xi.var(axis=0) - 1.0 / mu)) < 0.01
+
+    crescent = tri_crescent_target()
+    aug = spec_for(crescent).augment(crescent)
+    assert aug.exact_sampler is None
+    with pytest.raises(ValueError):
+        aug.sample_exact(np.random.default_rng(0), 3)
 
 
 class TestMatrixInvariants:
@@ -195,8 +260,9 @@ class TestDrift:
                                    target.grad_many(X))
 
     def test_hmc_block_form(self):
-        spec, target = make_spec("HMC", d_theta=1, friction=0.8, sigma2=1.0)
-        base = target.base
+        base = standard_gaussian(1)
+        spec, target = make_spec("HMC", d_theta=1, friction=0.8, sigma2=1.0,
+                                 base=base)
         x = np.array([0.7, -0.4])
         f = spec.drift_many(x[None, :], target)[0][0]
         expected = np.array([-0.4, base.grad_logp(x[:1])[0] - 0.8 * -0.4])

@@ -5,8 +5,7 @@ from gsvgd.dynamics import DynamicsSpec
 from gsvgd.integrator import euler_step, symmetric_split_step
 from gsvgd.kernels import KernelConfig
 from gsvgd.sampler import Ensemble, gsvgd_velocity
-from gsvgd.targets import (BlockLayout, augment_with_momentum,
-                           augment_with_thermostat, standard_gaussian)
+from gsvgd.targets import standard_gaussian
 
 
 def ld_field(target, spec, h=1.0):
@@ -14,17 +13,15 @@ def ld_field(target, spec, h=1.0):
 
 
 def leapfrog_setup(friction=0.0):
-    target = augment_with_momentum(standard_gaussian(1), 1.0)
-    layout = BlockLayout.with_momentum(1)
-    spec = DynamicsSpec("HMC", layout, sigma2=1.0, friction=friction)
-    return target, spec, layout
+    spec = DynamicsSpec("HMC", 1, sigma2=1.0, friction=friction)
+    return spec.augment(standard_gaussian(1)), spec, spec.layout
 
 
 class TestEulerStep:
     def test_zero_step_identity(self):
         target = standard_gaussian(2)
-        layout = BlockLayout.theta_only(2)
-        spec = DynamicsSpec("LD", layout)
+        spec = DynamicsSpec("LD", 2)
+        layout = spec.layout
         x = np.random.default_rng(0).standard_normal((4, 2))
         e = Ensemble(x, layout)
         out = euler_step(e, ld_field(target, spec), 0.0)
@@ -32,8 +29,8 @@ class TestEulerStep:
 
     def test_single_particle_gaussian(self):
         target = standard_gaussian(1)
-        layout = BlockLayout.theta_only(1)
-        spec = DynamicsSpec("LD", layout)
+        spec = DynamicsSpec("LD", 1)
+        layout = spec.layout
         e = Ensemble(np.array([[1.0]]), layout)
         out = euler_step(e, ld_field(target, spec), 0.1)
         assert out.positions[0, 0] == pytest.approx(0.9, abs=1e-15)
@@ -42,8 +39,8 @@ class TestEulerStep:
         # Two half steps vs one full step differ at second order: halving
         # the step quarters the gap.
         target = standard_gaussian(1)
-        layout = BlockLayout.theta_only(1)
-        spec = DynamicsSpec("LD", layout)
+        spec = DynamicsSpec("LD", 1)
+        layout = spec.layout
         f = ld_field(target, spec)
 
         def gap(eps):
@@ -57,8 +54,8 @@ class TestEulerStep:
 
     def test_generation_increments(self):
         target = standard_gaussian(1)
-        layout = BlockLayout.theta_only(1)
-        spec = DynamicsSpec("LD", layout)
+        spec = DynamicsSpec("LD", 1)
+        layout = spec.layout
         e = Ensemble(np.array([[0.5]]), layout)
         assert euler_step(e, ld_field(target, spec), 0.1).generation == 1
 
@@ -73,8 +70,8 @@ class TestSymmetricSplitStep:
 
     def test_requires_momentum_block(self):
         target = standard_gaussian(2)
-        layout = BlockLayout.theta_only(2)
-        spec = DynamicsSpec("LD", layout)
+        spec = DynamicsSpec("LD", 2)
+        layout = spec.layout
         e = Ensemble(np.zeros((2, 2)), layout)
         with pytest.raises(ValueError):
             symmetric_split_step(e, target, spec, eps=0.1, h=1.0)
@@ -136,10 +133,9 @@ class TestSymmetricSplitStep:
 
     def test_thermostat_block_moves_with_half_steps(self):
         base = standard_gaussian(1)
-        target = augment_with_thermostat(base, 1.0, friction=0.4, mu=2.0)
-        layout = BlockLayout.with_thermostat(1)
-        spec = DynamicsSpec("NHT", layout, sigma2=1.0, friction=0.4, mu=2.0)
-        e = Ensemble(np.array([[0.5, 0.8, 0.1]]), layout)
+        spec = DynamicsSpec("NHT", 1, sigma2=1.0, friction=0.4, mu=2.0)
+        target = spec.augment(base)
+        e = Ensemble(np.array([[0.5, 0.8, 0.1]]), spec.layout)
         out = symmetric_split_step(e, target, spec, eps=0.1, h=1.0)
         assert out.positions[0, 2] != 0.1  # xi updated alongside r
 

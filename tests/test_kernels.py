@@ -1,66 +1,7 @@
 import numpy as np
 import pytest
 
-from gsvgd.kernels import (KernelConfig, median_bandwidth, rbf_eval,
-                           rbf_grad1, rbf_grad2, rbf_matrix)
-
-from helpers import fd_gradient, rel_err
-
-
-class TestRbfEval:
-    def test_zero_distance(self):
-        x = np.array([0.3, -1.2])
-        assert rbf_eval(x, x, 2.0) == 1.0
-
-    def test_distance_equal_bandwidth(self):
-        assert rbf_eval(np.zeros(1), np.array([np.sqrt(3.0)]), 3.0) == \
-            pytest.approx(np.exp(-1.0), rel=1e-12)
-
-    def test_1d_value(self):
-        assert rbf_eval(np.array([0.0]), np.array([2.0]), 1.0) == \
-            pytest.approx(np.exp(-4.0), rel=1e-12)
-
-    def test_rejects_nonpositive_bandwidth(self):
-        with pytest.raises(ValueError):
-            rbf_eval(np.zeros(1), np.zeros(1), 0.0)
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            rbf_eval(np.zeros(2), np.zeros(3), 1.0)
-
-
-class TestRbfGrad2:
-    def test_zero_at_coincidence(self):
-        x = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(rbf_grad2(x, x, 1.0), np.zeros(2))
-
-    def test_1d_value(self):
-        g = rbf_grad2(np.array([-1.0]), np.array([1.0]), 1.0)
-        assert g[0] == pytest.approx(-4.0 * np.exp(-4.0), rel=1e-12)
-
-    def test_antisymmetry_exact(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = rng.standard_normal(3)
-            y = rng.standard_normal(3)
-            h = float(rng.uniform(0.5, 3.0))
-            np.testing.assert_array_equal(rbf_grad2(x, y, h),
-                                          -rbf_grad2(y, x, h))
-
-    def test_grad1_negates_grad2(self):
-        x = np.array([0.2, -0.7])
-        y = np.array([1.1, 0.4])
-        np.testing.assert_array_equal(rbf_grad1(x, y, 1.3),
-                                      -rbf_grad2(x, y, 1.3))
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x = rng.standard_normal(3)
-            y = rng.standard_normal(3)
-            h = float(rng.uniform(0.5, 3.0))
-            fd = fd_gradient(lambda yy: rbf_eval(x, yy, h), y)
-            assert rel_err(rbf_grad2(x, y, h), fd) <= 1e-6
+from gsvgd.kernels import KernelConfig, median_bandwidth
 
 
 class TestMedianBandwidth:
@@ -101,23 +42,6 @@ class TestMedianBandwidth:
         x = np.array([[0.0], [2.0]])
         e = Ensemble(x, BlockLayout.theta_only(1))
         assert median_bandwidth(e) == median_bandwidth(x)
-
-
-class TestGramMatrix:
-    def test_psd_at_desk_scale(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((20, 3))
-        K = rbf_matrix(x, median_bandwidth(x))
-        assert np.min(np.linalg.eigvalsh(K)) >= -1e-10
-
-    def test_matches_pairwise_eval(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((6, 2))
-        K = rbf_matrix(x, 1.7)
-        for i in range(6):
-            for j in range(6):
-                assert K[i, j] == pytest.approx(rbf_eval(x[i], x[j], 1.7),
-                                                rel=1e-12)
 
 
 class TestKernelConfig:

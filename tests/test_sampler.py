@@ -7,22 +7,19 @@ from gsvgd.kernels import KernelConfig, median_bandwidth
 from gsvgd.sampler import (Ensemble, VelocityField, blob_grad_log_density,
                            gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
                            parvi_blob_velocity, resample_momentum)
-from gsvgd.targets import (BlockLayout, TargetDensity, augment_with_momentum,
-                           standard_gaussian)
+from gsvgd.targets import BlockLayout, TargetDensity, standard_gaussian
 
 from helpers import dense_AC, dense_drift, make_spec, stein_term, svgd_reference
 
 
 def ld_setup(dim):
-    layout = BlockLayout.theta_only(dim)
-    return standard_gaussian(dim), DynamicsSpec("LD", layout), layout
+    spec = DynamicsSpec("LD", dim)
+    return standard_gaussian(dim), spec, spec.layout
 
 
 def hmc_setup(d_theta, friction=0.7, sigma2=1.0):
-    layout = BlockLayout.with_momentum(d_theta)
-    target = augment_with_momentum(standard_gaussian(d_theta), sigma2)
-    spec = DynamicsSpec("HMC", layout, sigma2=sigma2, friction=friction)
-    return target, spec, layout
+    spec = DynamicsSpec("HMC", d_theta, sigma2=sigma2, friction=friction)
+    return spec.augment(standard_gaussian(d_theta)), spec, spec.layout
 
 
 class TestEnsemble:
@@ -124,14 +121,13 @@ class TestGsvgdVelocity:
         np.testing.assert_array_equal(v_cfg.values, v_h.values)
 
     def test_nonfinite_drift_reports_particle(self):
-        layout = BlockLayout.theta_only(1)
         bad = TargetDensity(
             1,
             lambda X: np.zeros(X.shape[0]),
             lambda X: np.where(X > 1.5, np.inf, -X),
         )
-        spec = DynamicsSpec("LD", layout)
-        e = Ensemble(np.array([[0.0], [2.0]]), layout)
+        spec = DynamicsSpec("LD", 1)
+        e = Ensemble(np.array([[0.0], [2.0]]), spec.layout)
         with pytest.raises(NumericalError) as exc:
             gsvgd_velocity(e, bad, spec, h=1.0)
         assert exc.value.particle == 1
@@ -307,29 +303,31 @@ class TestResampleMomentum:
         target, spec, layout = hmc_setup(2)
         x = np.random.default_rng(12).standard_normal((5, 4))
         e = Ensemble(x, layout)
-        out = resample_momentum(e, 1.0, np.random.default_rng(0))
+        out = resample_momentum(e, spec, np.random.default_rng(0))
         np.testing.assert_array_equal(out.positions[:, :2], x[:, :2])
         assert np.any(out.positions[:, 2:] != x[:, 2:])
 
     def test_momentum_variance(self):
-        layout = BlockLayout.with_momentum(1)
-        e = Ensemble(np.zeros((10_000, 2)), layout)
-        out = resample_momentum(e, 1.0, np.random.default_rng(13))
+        spec = DynamicsSpec("HMC", 1, sigma2=1.0)
+        e = Ensemble(np.zeros((10_000, 2)), spec.layout)
+        out = resample_momentum(e, spec, np.random.default_rng(13))
         assert 0.94 <= out.r().var() <= 1.06
 
     def test_same_seed_reproduces(self):
-        layout = BlockLayout.with_momentum(2)
-        e = Ensemble(np.ones((4, 4)), layout)
-        a = resample_momentum(e, 2.0, np.random.default_rng(3))
-        b = resample_momentum(e, 2.0, np.random.default_rng(3))
+        spec = DynamicsSpec("HMC", 2, sigma2=2.0)
+        e = Ensemble(np.ones((4, 4)), spec.layout)
+        a = resample_momentum(e, spec, np.random.default_rng(3))
+        b = resample_momentum(e, spec, np.random.default_rng(3))
         np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_requires_momentum_block(self):
         e = Ensemble(np.zeros((3, 2)), BlockLayout.theta_only(2))
         with pytest.raises(ValueError):
-            resample_momentum(e, 1.0, np.random.default_rng(0))
+            resample_momentum(e, DynamicsSpec("LD", 2),
+                              np.random.default_rng(0))
 
     def test_rejects_zero_variance(self):
         e = Ensemble(np.zeros((3, 2)), BlockLayout.with_momentum(1))
         with pytest.raises(ValueError):
-            resample_momentum(e, 0.0, np.random.default_rng(0))
+            resample_momentum(e, DynamicsSpec("HMC", 1, sigma2=0.0),
+                              np.random.default_rng(0))

@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 
-from gsvgd.targets import (BlockLayout, augment_with_momentum,
-                           augment_with_thermostat, gaussian, gaussian_mixture,
+from gsvgd.dynamics import DynamicsSpec
+from gsvgd.targets import (BlockLayout, gaussian, gaussian_mixture,
                            standard_gaussian, tri_crescent_target)
 
 from helpers import fd_gradient, rel_err
+
+
+def hmc_augmented(base, sigma2):
+    """``base`` times ``N(r | 0, sigma2 I)``, as the HMC spec builds it."""
+    return DynamicsSpec("HMC", base.dim, sigma2=sigma2).augment(base)
+
+
+def nht_augmented(base, sigma2, friction, mu):
+    """``base`` times ``N(r | 0, sigma2 I) N(xi | friction, 1/mu I)``, as the
+    NHT spec builds it."""
+    return DynamicsSpec("NHT", base.dim, sigma2=sigma2, friction=friction,
+                        mu=mu).augment(base)
 
 
 def all_builtin_targets():
@@ -91,7 +103,7 @@ class TestTriCrescent:
 class TestAugmentation:
     def test_momentum_grad_at_zero(self):
         base = standard_gaussian(2)
-        aug = augment_with_momentum(base, 0.5)
+        aug = hmc_augmented(base, 0.5)
         theta = np.array([0.7, -0.3])
         x = np.concatenate([theta, np.zeros(2)])
         g = aug.grad_logp(x)
@@ -99,7 +111,7 @@ class TestAugmentation:
         np.testing.assert_array_equal(g[2:], np.zeros(2))
 
     def test_momentum_quadratic_penalty(self):
-        aug = augment_with_momentum(standard_gaussian(2), 2.0)
+        aug = hmc_augmented(standard_gaussian(2), 2.0)
         theta = np.array([0.1, 0.2])
         r = np.array([1.0, -3.0])
         diff = aug.logp(np.concatenate([theta, r])) - aug.logp(
@@ -108,7 +120,7 @@ class TestAugmentation:
 
     def test_theta_gradient_unchanged(self):
         base = tri_crescent_target()
-        aug = augment_with_momentum(base, 1.0)
+        aug = hmc_augmented(base, 1.0)
         rng = np.random.default_rng(3)
         for _ in range(20):
             theta = rng.uniform(-2, 2, size=2)
@@ -118,11 +130,11 @@ class TestAugmentation:
 
     def test_momentum_requires_positive_variance(self):
         with pytest.raises(ValueError):
-            augment_with_momentum(standard_gaussian(1), 0.0)
+            hmc_augmented(standard_gaussian(1), 0.0)
 
     def test_thermostat_grad_at_prior_mode(self):
         base = standard_gaussian(2)
-        aug = augment_with_thermostat(base, 1.0, friction=0.7, mu=3.0)
+        aug = nht_augmented(base, 1.0, friction=0.7, mu=3.0)
         theta = np.array([0.4, 0.1])
         x = np.concatenate([theta, np.zeros(2), np.full(2, 0.7)])
         g = aug.grad_logp(x)
@@ -130,26 +142,26 @@ class TestAugmentation:
         np.testing.assert_array_equal(g[2:], np.zeros(4))
 
     def test_thermostat_linear_score(self):
-        aug = augment_with_thermostat(standard_gaussian(2), 1.0,
+        aug = nht_augmented(standard_gaussian(2), 1.0,
                                       friction=0.5, mu=2.0)
         xi = np.full(2, 1.5)  # xi - A*1 = 1
         x = np.concatenate([np.zeros(2), np.zeros(2), xi])
         np.testing.assert_allclose(aug.grad_logp(x)[4:], [-2.0, -2.0])
 
     def test_thermostat_dims(self):
-        aug = augment_with_thermostat(standard_gaussian(3), 1.0, 0.0, 1.0)
+        aug = nht_augmented(standard_gaussian(3), 1.0, 0.0, 1.0)
         assert aug.dim == 9
-        assert augment_with_momentum(standard_gaussian(3), 1.0).dim == 6
+        assert hmc_augmented(standard_gaussian(3), 1.0).dim == 6
 
     def test_thermostat_requires_positive_params(self):
         with pytest.raises(ValueError):
-            augment_with_thermostat(standard_gaussian(1), -1.0, 0.0, 1.0)
+            nht_augmented(standard_gaussian(1), -1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            augment_with_thermostat(standard_gaussian(1), 1.0, 0.0, 0.0)
+            nht_augmented(standard_gaussian(1), 1.0, 0.0, 0.0)
 
     def test_factorization(self):
         # logp(theta, r, xi) - logp(theta, 0, A*1) depends only on (r, xi).
-        aug = augment_with_thermostat(tri_crescent_target(), 0.8,
+        aug = nht_augmented(tri_crescent_target(), 0.8,
                                       friction=0.3, mu=1.7)
         rng = np.random.default_rng(4)
         r = rng.standard_normal(2)
@@ -164,7 +176,7 @@ class TestAugmentation:
         assert np.max(diffs) - np.min(diffs) <= 1e-12
 
     def test_exact_sampler_composition(self):
-        aug = augment_with_thermostat(standard_gaussian(2), 4.0, 0.5, 2.0)
+        aug = nht_augmented(standard_gaussian(2), 4.0, 0.5, 2.0)
         x = aug.sample_exact(np.random.default_rng(5), 50_000)
         assert x.shape == (50_000, 6)
         assert abs(x[:, 2:4].var() - 4.0) < 0.1
@@ -172,7 +184,7 @@ class TestAugmentation:
         assert abs(x[:, 4:].var() - 0.5) < 0.02
 
     def test_no_sampler_for_crescent(self):
-        aug = augment_with_momentum(tri_crescent_target(), 1.0)
+        aug = hmc_augmented(tri_crescent_target(), 1.0)
         assert aug.exact_sampler is None
         with pytest.raises(ValueError):
             aug.sample_exact(np.random.default_rng(0), 3)
