@@ -154,6 +154,18 @@ def _integer(sec: dict, section: str, key: str, default, *, minimum=None):
     return int(val)
 
 
+def _numbers(val, key: str, ndim: int):
+    """None, or a nonempty list of numbers (ndim 1) or of equal-length such
+    lists (ndim 2), returned as floats."""
+    rows = val if ndim == 2 else [val]
+    if val is not None and (not isinstance(val, list) or not val or not all(
+            isinstance(r, list) and r and len(r) == len(rows[0])
+            and all(_is_number(v) for v in r) for r in rows)):
+        raise ConfigError(key, "must be a nonempty list of " + (
+            "numbers" if ndim == 1 else "equal-length lists of numbers"))
+    return None if val is None else np.array(val, dtype=float).tolist()
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run config, applying defaults."""
     try:
@@ -234,15 +246,8 @@ def parse_config(text: str) -> RunConfig:
 
     diag = _section(raw, "diagnostics",
                     ("mode_centers", "mode_radius", "energy_ref"))
-    centers = diag.get("mode_centers")
-    if centers is not None:
-        if (not isinstance(centers, list) or not centers
-                or not all(isinstance(c, list) and len(c) == len(centers[0])
-                           and all(_is_number(v) for v in c)
-                           for c in centers)):
-            raise ConfigError("diagnostics.mode_centers",
-                              "must be a list of equal-length lists of numbers")
-        cfg.mode_centers = [[float(v) for v in c] for c in centers]
+    cfg.mode_centers = _numbers(diag.get("mode_centers"),
+                                "diagnostics.mode_centers", 2)
     cfg.mode_radius = _number(diag, "diagnostics", "mode_radius",
                               cfg.mode_radius, minimum=0, exclusive=True)
     cfg.energy_ref = _integer(diag, "diagnostics", "energy_ref",
@@ -292,34 +297,35 @@ def parse_config(text: str) -> RunConfig:
 # Target construction
 # ---------------------------------------------------------------------------
 
+_TARGET_KEYS = {"gauss": {"dim", "mean", "cov"}, "tri_crescent": set(),
+                "gauss_mix": {"means", "weights", "var"}}
+
+
 def _build_base_target(cfg: RunConfig):
     """Build the theta-space target; returns (target, dataset_or_None)."""
     p = cfg.target_params
+    unknown = set(p) - _TARGET_KEYS.get(cfg.target, set(p))
+    if unknown:
+        raise ConfigError("target_params", f"unknown keys {sorted(unknown)}")
     if cfg.target == "gauss":
-        allowed = {"dim", "mean", "cov"}
-        if set(p) - allowed:
-            raise ConfigError("target_params",
-                              f"unknown keys {sorted(set(p) - allowed)}")
-        if "cov" in p and "mean" not in p:
-            raise ConfigError("target_params.cov", "requires target_params.mean")
-        if "mean" in p:
-            mean = np.asarray(p["mean"], dtype=float)
-            cov = np.asarray(p.get("cov", np.eye(mean.size)), dtype=float)
-            return targets.gaussian(mean, cov), None
-        dim = _integer(p, "target_params", "dim", 2, minimum=1)
-        return targets.standard_gaussian(dim), None
+        mean = _numbers(p.get("mean"), "target_params.mean", 1)
+        cov = _numbers(p.get("cov"), "target_params.cov", 2)
+        if mean is None and cov is not None:
+            raise ConfigError("target_params.cov",
+                              "requires target_params.mean")
+        dim = _integer(p, "target_params", "dim",
+                       2 if mean is None else len(mean), minimum=1)
+        if mean is not None and len(mean) != dim:
+            raise ConfigError("target_params.dim", "does not match the mean")
+        return targets.gaussian(mean or np.zeros(dim), cov or np.eye(dim)), None
     if cfg.target == "gauss_mix":
-        allowed = {"means", "weights", "var"}
-        if set(p) - allowed:
-            raise ConfigError("target_params",
-                              f"unknown keys {sorted(set(p) - allowed)}")
-        means = p.get("means", [[-2.0], [2.0]])
-        return targets.gaussian_mixture(means, p.get("weights"),
-                                        float(p.get("var", 1.0))), None
+        means = _numbers(p.get("means"), "target_params.means", 2)
+        return targets.gaussian_mixture(
+            means or [[-2.0], [2.0]],
+            _numbers(p.get("weights"), "target_params.weights", 1),
+            _number(p, "target_params", "var", 1.0, minimum=0, exclusive=True)
+        ), None
     if cfg.target == "tri_crescent":
-        if p:
-            raise ConfigError("target_params",
-                              "tri_crescent takes no parameters")
         return targets.tri_crescent_target(), None
     # bnn
     dataset = bnn_mod.load_regression_csv(cfg.data_path, cfg.data_seed)

@@ -97,12 +97,13 @@ def _fmt(v) -> str:
 def write_snapshot(path, iteration: int, positions: Array) -> None:
     """Write one CSV row per particle: columns p0..p{D-1}, then iter."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    d = positions.shape[1]
+    header = [f"p{j}" for j in range(positions.shape[1])] + ["iter"]
+    it = str(iteration)
+    lines = [",".join(header)] + [",".join([*map(repr, row), it])
+                                  for row in positions.tolist()]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join([f"p{j}" for j in range(d)] + ["iter"]) + "\n")
-            for row in positions:
-                fh.write(",".join([_fmt(v) for v in row] + [str(iteration)]) + "\n")
+            fh.write("\n".join(lines) + "\n")
     except OSError as err:
         raise OSError(f"failed to write snapshot {path}: {err}") from err
 

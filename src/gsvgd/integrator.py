@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import DynamicsSpec
 from .kernels import KernelConfig
-from .sampler import Ensemble, check_positions, gsvgd_velocity
+from .sampler import Ensemble, check_finite, gsvgd_velocity
 
 Array = np.ndarray
 
@@ -32,7 +32,8 @@ def euler_step(e: Ensemble, vfield_fn: Callable[[Ensemble], object],
     if eps < 0:
         raise ValueError("step size must be nonnegative")
     v = _values(vfield_fn(e))
-    return e.with_positions(check_positions(e.positions + eps * v))
+    return e.with_positions(check_finite(e.positions + eps * v,
+                                         "particle position"))
 
 
 def symmetric_split_step(e: Ensemble, target, spec: DynamicsSpec,
@@ -82,4 +83,4 @@ def symmetric_split_step(e: Ensemble, target, spec: DynamicsSpec,
     x = moved.positions.copy()
     for s in aux:
         x[:, s] += 0.5 * eps * v3[:, s]
-    return e.with_positions(check_positions(x))
+    return e.with_positions(check_finite(x, "particle position"))

@@ -1,4 +1,4 @@
-"""Median-heuristic bandwidth of the squared-exponential kernel.
+"""Squared-exponential kernel: median-heuristic bandwidth and Gram matrix.
 
 Convention: ``k(x, y) = exp(-||x - y||^2 / h)`` with bandwidth
 ``h = med^2 / log N``, where ``med`` is the median of the off-diagonal
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 Array = np.ndarray
 
@@ -19,21 +19,33 @@ Array = np.ndarray
 def median_bandwidth(positions, h_min: float = 1e-6) -> float:
     """Median-heuristic bandwidth ``med^2 / log N``, clamped below by h_min.
 
-    ``med`` is the median of all N(N-1)/2 off-diagonal pairwise Euclidean
-    distances; this is why the full sorted distance list must feed a single
-    median computation.  A one-particle set has no pairwise distances, so it
-    returns the clamp of 1.0.  Accepts an (N, D) array or anything carrying
-    a ``positions`` attribute.
+    ``med`` is the median of the m = N(N-1)/2 off-diagonal pairwise
+    distances, found by selection: one partition of the squared distances at
+    ``k = m // 2`` places the middle value at k (for even m, the lower one is
+    the maximum below k).  Only these are square-rooted, and their mean
+    equals ``np.median(pdist(X))`` bit for bit.  A one-particle set returns
+    the clamp of 1.0.  Accepts a finite (N, D) array or a ``positions`` holder.
     """
     positions = np.asarray(getattr(positions, "positions", positions),
                            dtype=float)
-    if positions.ndim != 2 or positions.shape[0] < 1:
-        raise ValueError("positions must be a nonempty (N, D) array")
+    if (positions.ndim != 2 or positions.shape[0] < 1
+            or not np.all(np.isfinite(positions))):
+        raise ValueError("positions must be a finite, nonempty (N, D) array")
     n = positions.shape[0]
     if n == 1:
         return max(1.0, h_min)
-    med = float(np.median(pdist(positions)))
+    d2 = pdist(positions, "sqeuclidean")
+    k = d2.size // 2
+    d2.partition(k)
+    middle = [d2[k]] if d2.size % 2 else [d2[:k].max(), d2[k]]
+    med = float(np.mean(np.sqrt(middle)))
     return max(med ** 2 / np.log(n), h_min)
+
+
+def gram(Xa: Array, Xb: Array, h: float) -> Array:
+    """Kernel matrix ``exp(-||Xa_i - Xb_j||^2 / h)``, built in place."""
+    K = cdist(Xa, Xb, "sqeuclidean")
+    return np.exp(np.divide(K, -h, out=K), out=K)
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dynamics import DynamicsSpec, StructuredAC
 from .errors import NumericalError
-from .kernels import KernelConfig
+from .kernels import KernelConfig, gram
 from .targets import BlockLayout
 
 Array = np.ndarray
@@ -86,11 +85,7 @@ class VelocityField:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise ValueError("velocity values must be an (N, D) array")
-        bad = ~np.all(np.isfinite(vals), axis=1)
-        if np.any(bad):
-            raise NumericalError("non-finite velocity",
-                                 particle=int(np.argmax(bad)))
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", check_finite(vals, "velocity"))
 
 
 def _resolve_bandwidth(e: Ensemble, kernel: KernelConfig | None,
@@ -107,20 +102,12 @@ def _resolve_bandwidth(e: Ensemble, kernel: KernelConfig | None,
     return float(h)
 
 
-def _check_drift(F: Array) -> Array:
-    bad = ~np.all(np.isfinite(F), axis=1)
+def check_finite(values: Array, what: str) -> Array:
+    """Return (N, D) ``values``, or raise naming the first non-finite row."""
+    bad = ~np.all(np.isfinite(values), axis=1)
     if np.any(bad):
-        raise NumericalError("non-finite drift", particle=int(np.argmax(bad)))
-    return F
-
-
-def check_positions(positions: Array) -> Array:
-    """Raise a NumericalError naming the first non-finite particle, if any."""
-    bad = ~np.all(np.isfinite(positions), axis=1)
-    if np.any(bad):
-        raise NumericalError("non-finite particle position",
-                             particle=int(np.argmax(bad)))
-    return positions
+        raise NumericalError(f"non-finite {what}", particle=int(np.argmax(bad)))
+    return values
 
 
 def _per_particle(c) -> bool:
@@ -146,7 +133,7 @@ def _stein_velocity(X: Array, F: Array, ac: StructuredAC, h: float) -> Array:
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
         Xc = X[i0:i1]
-        K = np.exp(-cdist(Xc, X, "sqeuclidean") / h)
+        K = gram(Xc, X, h)
         attract = K @ F
         if need_r:
             R = Xc * K.sum(axis=1)[:, None] - K @ X
@@ -172,7 +159,7 @@ def gsvgd_velocity(e: Ensemble, target, spec: DynamicsSpec,
     h = _resolve_bandwidth(e, kernel, h)
     X = e.positions
     F, ac = spec.drift_many(X, target)
-    return VelocityField(_stein_velocity(X, _check_drift(F), ac, h))
+    return VelocityField(_stein_velocity(X, check_finite(F, "drift"), ac, h))
 
 
 def gsvgd_velocity_alt(e: Ensemble, target, spec: DynamicsSpec,
@@ -187,8 +174,8 @@ def gsvgd_velocity_alt(e: Ensemble, target, spec: DynamicsSpec,
     h = _resolve_bandwidth(e, kernel, h)
     X = e.positions
     F, ac = spec.drift_many(X, target)
-    a_only = StructuredAC(ac.a)
-    return VelocityField(_stein_velocity(X, _check_drift(F), a_only, h))
+    return VelocityField(_stein_velocity(X, check_finite(F, "drift"),
+                                         StructuredAC(ac.a), h))
 
 
 def blob_grad_log_density(e: Ensemble, kernel: KernelConfig | None = None,
@@ -205,7 +192,7 @@ def blob_grad_log_density(e: Ensemble, kernel: KernelConfig | None = None,
     """
     h = _resolve_bandwidth(e, kernel, h)
     X = e.positions
-    K = np.exp(-cdist(X, X, "sqeuclidean") / h)
+    K = gram(X, X, h)
     row_sum = K.sum(axis=1)                     # (N,)
     # sum_j grad1_k(x_i, x_j) = -(2/h) (x_i * rowsum_i - K @ X)
     S1 = -(2.0 / h) * (X * row_sum[:, None] - K @ X)
@@ -242,11 +229,11 @@ def mcmc_step(e: Ensemble, target, spec: DynamicsSpec, eps: float,
         raise ValueError("step size must be nonnegative")
     X = e.positions
     F, ac = spec.drift_many(X, target)
-    F = _check_drift(F)
+    F = check_finite(F, "drift")
     noise = rng.standard_normal(X.shape)
     scale = np.sqrt(ac.a)
     new = X + eps * F + np.sqrt(2.0 * eps) * scale * noise
-    return e.with_positions(check_positions(new))
+    return e.with_positions(check_finite(new, "particle position"))
 
 
 def resample_momentum(e: Ensemble, spec: DynamicsSpec,

@@ -265,8 +265,23 @@ class TestMain:
          "target_params"),
         ({"diagnostics": {"mode_centers": [[0.0, 0.0, 0.0]]}},
          "diagnostics.mode_centers"),
+        ({"target_params": {"dim": 5, "mean": [0.0, 0.0]}},
+         "target_params.dim"),
+        ({"target_params": {"mean": [True, "2"]}}, "target_params.mean"),
+        ({"target_params": {"mean": [0.0, 0.0], "cov": [[1, "0"], [0, 1]]}},
+         "target_params.cov"),
+        ({"target": "gauss_mix", "target_params": {"var": "2"}},
+         "target_params.var"),
+        ({"target": "gauss_mix", "target_params": {"var": True}},
+         "target_params.var"),
+        ({"target": "gauss_mix", "target_params": {"means": [[True], [2]]}},
+         "target_params.means"),
+        ({"target": "gauss_mix", "target_params": {"weights": ["1", "1"]}},
+         "target_params.weights"),
     ], ids=["dim_not_a_number", "dim_zero", "dim_fractional", "dim_bool",
-            "cov_not_spd", "negative_weights", "centers_wrong_dim"])
+            "cov_not_spd", "negative_weights", "centers_wrong_dim",
+            "dim_mean_mismatch", "mean_not_numbers", "cov_not_numbers",
+            "var_string", "var_bool", "means_bool", "weights_string"])
     def test_malformed_target_is_config_error(self, tmp_path, capsys,
                                               overrides, key):
         out = tmp_path / "out"

@@ -158,6 +158,17 @@ class TestTraceWriter:
         assert lines[1] == "1.0,2.0,7"
         assert len(lines) == 3
 
+    def test_snapshot_bytes_exact(self, tmp_path):
+        # Shortest round-trip repr of each float, signed zero and the
+        # smallest subnormal included; "\n" line ends; one row per particle.
+        path = tmp_path / "snap.csv"
+        write_snapshot(path, 12, np.array([[-0.0, 5e-324, 1e300],
+                                           [0.1, -2.5, 1.0 / 3.0]]))
+        assert path.read_bytes() == (
+            b"p0,p1,p2,iter\n"
+            b"-0.0,5e-324,1e+300,12\n"
+            b"0.1,-2.5,0.3333333333333333,12\n")
+
     def test_row_count_tracks_records(self, tmp_path):
         with TraceWriter(tmp_path / "t.csv", []) as w:
             for i in range(4):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 
-from gsvgd.kernels import KernelConfig, median_bandwidth
+from gsvgd.kernels import KernelConfig, gram, median_bandwidth
+
+
+def median_reference(x, h_min=1e-6):
+    """The median rule written with ``np.median`` over Euclidean ``pdist``."""
+    return max(float(np.median(pdist(x))) ** 2 / np.log(x.shape[0]), h_min)
 
 
 class TestMedianBandwidth:
@@ -36,12 +42,42 @@ class TestMedianBandwidth:
         with pytest.raises(ValueError):
             median_bandwidth(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (4, 2), (200, 2),
+                                     (2000, 4), (11, 306)])
+    def test_selection_equals_np_median_bitwise(self, n, d):
+        # m = n(n-1)/2 pairs: odd for n = 2, 3, 11; even for n = 4, 200, 2000.
+        x = np.random.default_rng(n * 1000 + d).standard_normal((n, d))
+        assert median_bandwidth(x) == median_reference(x)
+
+    def test_duplicate_rows_bitwise(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((7, 3))
+        x = np.concatenate([x, x[:4], x[:1], x[:1]])
+        assert median_bandwidth(x) == median_reference(x)
+        y = np.repeat(x[:3], [10, 2, 2], axis=0)  # median distance is 0
+        assert median_bandwidth(y, h_min=1e-3) == median_reference(y, 1e-3)
+        assert median_bandwidth(y, h_min=1e-3) == 1e-3
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            median_bandwidth(np.array([[0.0], [np.nan], [1.0]]))
+
     def test_accepts_ensemble(self):
         from gsvgd.sampler import Ensemble
         from gsvgd.targets import BlockLayout
         x = np.array([[0.0], [2.0]])
         e = Ensemble(x, BlockLayout.theta_only(1))
         assert median_bandwidth(e) == median_bandwidth(x)
+
+
+class TestGram:
+    @pytest.mark.parametrize("na,nb,d", [(1, 1, 1), (5, 9, 3), (64, 200, 4)])
+    def test_equals_exp_of_cdist_bitwise(self, na, nb, d):
+        rng = np.random.default_rng(na + nb + d)
+        xa, xb = rng.standard_normal((na, d)), rng.standard_normal((nb, d))
+        for h in (1e-3, 0.7, 3.0, 1e4):
+            expected = np.exp(-cdist(xa, xb, "sqeuclidean") / h)
+            np.testing.assert_array_equal(gram(xa, xb, h), expected)
 
 
 class TestKernelConfig:

@@ -112,6 +112,28 @@ class TestGsvgdVelocity:
         chunked = gsvgd_velocity(e, target, spec, h=1.1).values
         np.testing.assert_array_equal(chunked, full)
 
+    @pytest.mark.parametrize("kind", ["LD", "NHT"])
+    def test_many_chunks_match_single_chunk_and_oracles(self, kind,
+                                                         monkeypatch):
+        # 64 entries per block: 2 rows of 31 per chunk, 16 chunks, the last
+        # one a single row.
+        import gsvgd.sampler as sampler_mod
+        spec, target = make_spec(kind, friction=0.4, sigma2=0.8, mu=1.5)
+        rng = np.random.default_rng(19)
+        x = rng.uniform(-1.5, 1.5, size=(31, spec.dim))
+        e = Ensemble(x, spec.layout)
+        h = 0.8
+        single = gsvgd_velocity(e, target, spec, h=h).values
+        monkeypatch.setattr(sampler_mod, "_MAX_PAIR_BLOCK", 64)
+        chunked = gsvgd_velocity(e, target, spec, h=h).values
+        np.testing.assert_allclose(chunked, single, rtol=0, atol=1e-12)
+        if kind == "LD":
+            ref = svgd_reference(x, target.grad_logp, h)
+        else:
+            ref = np.array([np.mean([stein_term(target, spec, xi, xj, h)
+                                     for xj in x], axis=0) for xi in x])
+        np.testing.assert_allclose(chunked, ref, rtol=1e-12, atol=1e-12)
+
     def test_median_bandwidth_resolution(self):
         target, spec, layout = ld_setup(1)
         e = Ensemble(np.array([[-1.0], [1.0]]), layout)
