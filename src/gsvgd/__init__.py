@@ -4,9 +4,9 @@ from .dynamics import KINDS, DynamicsSpec, RiemannConfig, StructuredAC
 from .errors import ConfigError, NumericalError
 from .integrator import euler_step, symmetric_split_step
 from .kernels import KernelConfig, median_bandwidth
-from .sampler import (Ensemble, VelocityField, blob_grad_log_density,
-                      gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
-                      parvi_blob_velocity, resample_momentum)
+from .sampler import (Ensemble, blob_grad_log_density, gsvgd_velocity,
+                      gsvgd_velocity_alt, mcmc_step, parvi_blob_velocity,
+                      resample_momentum)
 from .targets import (BlockLayout, TargetDensity, gaussian, gaussian_mixture,
                       standard_gaussian, tri_crescent_target)
 
@@ -15,9 +15,8 @@ __all__ = [
     "ConfigError", "NumericalError",
     "euler_step", "symmetric_split_step",
     "KernelConfig", "median_bandwidth",
-    "Ensemble", "VelocityField", "blob_grad_log_density", "gsvgd_velocity",
-    "gsvgd_velocity_alt", "mcmc_step", "parvi_blob_velocity",
-    "resample_momentum",
+    "Ensemble", "blob_grad_log_density", "gsvgd_velocity", "gsvgd_velocity_alt",
+    "mcmc_step", "parvi_blob_velocity", "resample_momentum",
     "BlockLayout", "TargetDensity", "gaussian", "gaussian_mixture",
     "standard_gaussian", "tri_crescent_target",
 ]

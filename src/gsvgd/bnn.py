@@ -8,8 +8,10 @@ Model (all in standardized data space):
 
 The precisions are parametrized in log space for unconstrained dynamics, so
 the prior terms carry the +log(gamma) and +log(lam) change-of-variable
-corrections.  Gradients are computed by hand-written backpropagation; the
-ReLU subgradient at the kink takes the zero branch.
+corrections.  Gradients are computed by hand-written backpropagation,
+batched over particles: a stack of N parameter vectors runs as one stacked
+forward/backward pass.  The ReLU subgradient at the kink takes the zero
+branch.
 
 Parameter vectors flatten in the fixed order
 ``W1 (row-major, d_in x hidden), b1, w2, b2, log_gamma, log_lambda``.
@@ -38,28 +40,27 @@ def param_dim(d_in: int, hidden: int = HIDDEN_DEFAULT) -> int:
 
 
 def unflatten_params(vec: Array, d_in: int, hidden: int = HIDDEN_DEFAULT):
-    """Split a flat vector into (W1, b1, w2, b2, log_gamma, log_lambda)."""
+    """Split flattened parameters into views (W1, b1, w2, b2, log_gamma,
+    log_lambda).
+
+    ``vec`` is one vector (P,) or a stack (N, P); a stack gives every part a
+    leading particle axis, so W1 is (N, d_in, hidden) and b2 is (N,).
+    """
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (param_dim(d_in, hidden),):
+    p = param_dim(d_in, hidden)
+    if vec.ndim not in (1, 2) or vec.shape[-1] != p:
         raise ValueError(
-            f"parameter vector has shape {vec.shape}, expected "
-            f"({param_dim(d_in, hidden)},)")
-    k = 0
-    w1 = vec[k:k + d_in * hidden].reshape(d_in, hidden)
-    k += d_in * hidden
-    b1 = vec[k:k + hidden]
-    k += hidden
-    w2 = vec[k:k + hidden]
-    k += hidden
-    b2 = vec[k]
-    log_gamma = vec[k + 1]
-    log_lambda = vec[k + 2]
-    return w1, b1, w2, b2, log_gamma, log_lambda
+            f"parameters have shape {vec.shape}, expected ({p},) or (N, {p})")
+    k = d_in * hidden
+    w1 = vec[..., :k].reshape(vec.shape[:-1] + (d_in, hidden))
+    b1 = vec[..., k:k + hidden]
+    w2 = vec[..., k + hidden:k + 2 * hidden]
+    return w1, b1, w2, vec[..., p - 3], vec[..., p - 2], vec[..., p - 1]
 
 
 def flatten_params(w1: Array, b1: Array, w2: Array, b2: float,
                    log_gamma: float, log_lambda: float) -> Array:
-    """Inverse of :func:`unflatten_params` (bitwise round-trip)."""
+    """Inverse of :func:`unflatten_params` for one vector (bitwise round-trip)."""
     return np.concatenate([
         np.asarray(w1, dtype=float).reshape(-1),
         np.asarray(b1, dtype=float),
@@ -78,35 +79,40 @@ def init_params(rng: np.random.Generator, d_in: int,
 
 
 def _forward(w1, b1, w2, b2, X: Array):
-    z = X @ w1 + b1
+    """Pre-activations (N, B, H), activations and outputs (N, B) of a stack
+    of networks on the inputs X (B, d_in)."""
+    z = np.matmul(X, w1)
+    z += b1[:, None, :]
     a = np.maximum(z, 0.0)
-    return z, a, a @ w2 + b2
+    return z, a, np.matmul(a, w2[:, :, None])[..., 0] + b2[:, None]
 
 
-def log_prior(vec: Array, d_in: int, hidden: int = HIDDEN_DEFAULT) -> float:
-    """Log prior of the flattened parameters (including all constants)."""
-    w1, b1, w2, b2, lg, ll = unflatten_params(vec, d_in, hidden)
+def _prior(W: Array, d_in: int, hidden: int):
+    """Log prior (N,) and its gradient (N, P) of stacked parameters W."""
+    w1, b1, w2, b2, lg, ll = unflatten_params(W, d_in, hidden)
     lam = np.exp(ll)
     gamma = np.exp(lg)
-    weights_sq = float(np.sum(w1 ** 2) + np.sum(b1 ** 2) + np.sum(w2 ** 2) + b2 ** 2)
+    weights_sq = (np.sum(w1 ** 2, axis=(1, 2)) + np.sum(b1 ** 2, axis=1)
+                  + np.sum(w2 ** 2, axis=1) + b2 ** 2)
     n_w = d_in * hidden + hidden + hidden + 1
     out = 0.5 * n_w * (ll - _LOG_2PI) - 0.5 * lam * weights_sq
     # Gamma(1, 0.1) on gamma and lam, in log space (+log Jacobians).
     out += np.log(GAMMA_RATE) - GAMMA_RATE * gamma + lg
     out += np.log(GAMMA_RATE) - GAMMA_RATE * lam + ll
-    return float(out)
+    grad = -lam[:, None] * W
+    grad[:, -2] = 1.0 - GAMMA_RATE * gamma
+    grad[:, -1] = 0.5 * n_w - 0.5 * lam * weights_sq + 1.0 - GAMMA_RATE * lam
+    return out, grad
+
+
+def log_prior(vec: Array, d_in: int, hidden: int = HIDDEN_DEFAULT) -> float:
+    """Log prior of one flattened parameter vector (including all constants)."""
+    return float(_prior(np.asarray(vec, dtype=float)[None], d_in, hidden)[0][0])
 
 
 def grad_log_prior(vec: Array, d_in: int, hidden: int = HIDDEN_DEFAULT) -> Array:
     """Gradient of :func:`log_prior` in the flattened parametrization."""
-    w1, b1, w2, b2, lg, ll = unflatten_params(vec, d_in, hidden)
-    lam = np.exp(ll)
-    gamma = np.exp(lg)
-    weights_sq = float(np.sum(w1 ** 2) + np.sum(b1 ** 2) + np.sum(w2 ** 2) + b2 ** 2)
-    n_w = d_in * hidden + hidden + hidden + 1
-    g_lg = 1.0 - GAMMA_RATE * gamma
-    g_ll = 0.5 * n_w - 0.5 * lam * weights_sq + 1.0 - GAMMA_RATE * lam
-    return flatten_params(-lam * w1, -lam * b1, -lam * w2, -lam * b2, g_lg, g_ll)
+    return _prior(np.asarray(vec, dtype=float)[None], d_in, hidden)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +196,9 @@ def make_dataset(features: Array, targets: Array, seed: int,
 def load_regression_csv(path, seed: int, test_frac: float = 0.1) -> Dataset:
     """Load a numeric CSV (last column = target, optional header row).
 
-    A cell that fails to parse raises a ValueError naming its row and
-    column (1-based, header included in the row count).
+    A cell that fails to parse or is not finite (``nan``, ``inf``) raises a
+    ValueError naming its row and column (1-based, header included in the
+    row count).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -209,15 +216,15 @@ def load_regression_csv(path, seed: int, test_frac: float = 0.1) -> Dataset:
                     f"{cell!r}") from None
         return out
 
-    start = 0
     try:
-        first = parse_row(lines[0], 1)
+        parse_row(lines[0], 1)
+        start = 0
     except ValueError:
         start = 1      # header row
-        first = None
-    rows = [first] if first is not None else []
-    for i, line in enumerate(lines[start:], start=start + 1):
-        rows.append(parse_row(line, i))
+    rows = [parse_row(line, i)
+            for i, line in enumerate(lines[start:], start=start + 1)]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     width = len(rows[0])
     if width < 2:
         raise ValueError(f"{path}: need at least one feature column and a target")
@@ -225,6 +232,11 @@ def load_regression_csv(path, seed: int, test_frac: float = 0.1) -> Dataset:
         if len(row) != width:
             raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {width}")
     table = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: non-finite cell at row {start + i + 1}, "
+                         f"column {j + 1}: {float(table[i, j])!r}")
     return make_dataset(table[:, :-1], table[:, -1], seed, test_frac)
 
 
@@ -262,47 +274,51 @@ class BNNPosterior:
             raise ValueError("batch must be nonempty")
         return X[idx], y[idx]
 
-    def log_posterior(self, vec: Array, idx=None) -> float:
-        """Log prior plus the (rescaled) batch log-likelihood."""
+    def logp_many(self, W: Array, idx=None) -> Array:
+        """Log prior plus the (rescaled) batch log-likelihood, per row of the
+        (N, P) parameter stack W."""
         Xb, yb = self._batch(idx)
-        w1, b1, w2, b2, lg, ll = unflatten_params(vec, self.d_in, self.hidden)
-        gamma = np.exp(lg)
-        _, _, m = _forward(w1, b1, w2, b2, Xb)
-        resid = yb - m
-        loglik = np.sum(0.5 * (lg - _LOG_2PI) - 0.5 * gamma * resid ** 2)
+        w1, b1, w2, b2, lg, _ = unflatten_params(W, self.d_in, self.hidden)
+        resid = yb - _forward(w1, b1, w2, b2, Xb)[2]
+        loglik = np.sum((0.5 * (lg - _LOG_2PI))[:, None]
+                        - (0.5 * np.exp(lg))[:, None] * resid ** 2, axis=1)
         scale = self.dataset.n_train / Xb.shape[0]
-        return float(scale * loglik) + log_prior(vec, self.d_in, self.hidden)
+        return scale * loglik + _prior(W, self.d_in, self.hidden)[0]
 
-    def grad_log_posterior(self, vec: Array, idx=None) -> Array:
-        """Backpropagated gradient, same flattening order as the input."""
+    def grad_many(self, W: Array, idx=None) -> Array:
+        """Backpropagated gradient per row of W, in the flattening order."""
         Xb, yb = self._batch(idx)
-        w1, b1, w2, b2, lg, ll = unflatten_params(vec, self.d_in, self.hidden)
-        gamma = np.exp(lg)
+        w1, b1, w2, b2, lg, _ = unflatten_params(W, self.d_in, self.hidden)
+        gamma = np.exp(lg)[:, None]
         z, a, m = _forward(w1, b1, w2, b2, Xb)
         resid = yb - m
         scale = self.dataset.n_train / Xb.shape[0]
 
         dm = gamma * resid                          # dloglik/dm per point
-        g_w2 = a.T @ dm
-        g_b2 = float(np.sum(dm))
-        dz = (dm[:, None] * w2[None, :]) * (z > 0)
-        g_w1 = Xb.T @ dz
-        g_b1 = dz.sum(axis=0)
-        g_lg = float(np.sum(0.5 - 0.5 * gamma * resid ** 2))
+        dz = dm[:, :, None] * w2[:, None, :]
+        dz *= z > 0
+        n = dm.shape[0]
+        lik = np.concatenate([
+            np.matmul(Xb.T, dz).reshape(n, -1),
+            dz.sum(axis=1),
+            np.matmul(a.transpose(0, 2, 1), dm[:, :, None])[..., 0],
+            dm.sum(axis=1, keepdims=True),
+            np.sum(0.5 - 0.5 * gamma * resid ** 2, axis=1, keepdims=True),
+            np.zeros((n, 1))], axis=1)
+        return scale * lik + _prior(W, self.d_in, self.hidden)[1]
 
-        lik = scale * flatten_params(g_w1, g_b1, g_w2, g_b2, g_lg, 0.0)
-        return lik + grad_log_prior(vec, self.d_in, self.hidden)
+    def log_posterior(self, vec: Array, idx=None) -> float:
+        """:meth:`logp_many` of one parameter vector."""
+        return float(self.logp_many(np.asarray(vec, dtype=float)[None], idx)[0])
+
+    def grad_log_posterior(self, vec: Array, idx=None) -> Array:
+        """:meth:`grad_many` of one parameter vector."""
+        return self.grad_many(np.asarray(vec, dtype=float)[None], idx)[0]
 
     def as_target(self, idx=None) -> TargetDensity:
         """View of this (mini)batch posterior as a sampling target."""
-
-        def logp_fn(W: Array) -> Array:
-            return np.array([self.log_posterior(w, idx) for w in W])
-
-        def grad_fn(W: Array) -> Array:
-            return np.stack([self.grad_log_posterior(w, idx) for w in W])
-
-        return TargetDensity(self.dim, logp_fn, grad_fn, None, "bnn")
+        return TargetDensity(self.dim, lambda W: self.logp_many(W, idx),
+                             lambda W: self.grad_many(W, idx), None, "bnn")
 
 
 class MinibatchSchedule:
@@ -343,18 +359,15 @@ def predict(theta: Array, x: Array, dataset: Dataset,
         ``(mean, per_particle)`` where per_particle has shape (N,) for a
         single input or (N, m) for a batch, and mean is its particle average.
     """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = x[None, :] if single else x
     if X.shape[1] != dataset.d_in:
         raise ValueError(f"input dim {X.shape[1]} != dataset dim {dataset.d_in}")
-    Xs = dataset.standardize_x(X)
-    preds = np.empty((theta.shape[0], X.shape[0]))
-    for i, vec in enumerate(theta):
-        w1, b1, w2, b2, _, _ = unflatten_params(vec, dataset.d_in, hidden)
-        _, _, m = _forward(w1, b1, w2, b2, Xs)
-        preds[i] = m * dataset.targ_std + dataset.targ_mean
+    w1, b1, w2, b2, _, _ = unflatten_params(np.atleast_2d(theta),
+                                            dataset.d_in, hidden)
+    m = _forward(w1, b1, w2, b2, dataset.standardize_x(X))[2]
+    preds = m * dataset.targ_std + dataset.targ_mean
     if single:
         preds = preds[:, 0]
     return preds.mean(axis=0), preds
@@ -368,17 +381,14 @@ def predictive_log_likelihood(theta: Array, dataset: Dataset,
     evaluated in standardized space and shifted by ``-log(targ_std)`` so the
     density lives in original units.
     """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if dataset.n_test == 0:
         raise ValueError("dataset has an empty test split")
-    n = theta.shape[0]
     y_std = (dataset.y_test - dataset.targ_mean) / dataset.targ_std
-    logp = np.empty((n, dataset.n_test))
-    for i, vec in enumerate(theta):
-        w1, b1, w2, b2, lg, _ = unflatten_params(vec, dataset.d_in, hidden)
-        _, _, m = _forward(w1, b1, w2, b2, dataset.x_test)
-        gamma = np.exp(lg)
-        logp[i] = 0.5 * (lg - _LOG_2PI) - 0.5 * gamma * (y_std - m) ** 2
+    w1, b1, w2, b2, lg, _ = unflatten_params(np.atleast_2d(theta),
+                                             dataset.d_in, hidden)
+    m = _forward(w1, b1, w2, b2, dataset.x_test)[2]
+    logp = ((0.5 * (lg - _LOG_2PI))[:, None]
+            - (0.5 * np.exp(lg))[:, None] * (y_std - m) ** 2)
     mx = logp.max(axis=0)
     mix = mx + np.log(np.mean(np.exp(logp - mx[None, :]), axis=0))
     return float(np.mean(mix) - np.log(dataset.targ_std))

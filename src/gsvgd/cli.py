@@ -469,7 +469,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
                                  snapshot_dir=snap_dir) as writer:
         diagnostics.write_snapshot(
             os.path.join(snap_dir, "snapshot_00000000.csv"), 0, e.positions)
-        summary["initial"] = metrics_of(e)
+        summary["initial"] = row = metrics_of(e)
 
         target_it = spec.augment(base)
         for it in range(1, cfg.iters + 1):
@@ -497,9 +497,10 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
                     "run aborted on non-finite value", iteration=it,
                     particle=err.particle) from err
             if it in trace_iters:
-                writer.record(it, metrics_of(e), snapshot=e.positions)
+                row = metrics_of(e)
+                writer.record(it, row, snapshot=e.positions)
 
-    summary["final"] = metrics_of(e)
+    summary["final"] = row               # the trace row of iteration cfg.iters
     path = os.path.join(out_dir, "summary.json")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

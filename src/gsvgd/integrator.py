@@ -10,7 +10,6 @@ preserves the symmetric structure.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -22,32 +21,29 @@ from .sampler import Ensemble, check_finite, gsvgd_velocity
 Array = np.ndarray
 
 
-def _values(v) -> Array:
-    return np.asarray(getattr(v, "values", v), dtype=float)
-
-
-def euler_step(e: Ensemble, vfield_fn: Callable[[Ensemble], object],
+def euler_step(e: Ensemble, vfield_fn: Callable[[Ensemble], Array],
                eps: float) -> Ensemble:
     """``positions <- positions + eps * v(snapshot)``; one field evaluation."""
     if eps < 0:
         raise ValueError("step size must be nonnegative")
-    v = _values(vfield_fn(e))
-    return e.with_positions(check_finite(e.positions + eps * v,
+    return e.with_positions(check_finite(e.positions + eps * vfield_fn(e),
                                          "particle position"))
 
 
 def symmetric_split_step(e: Ensemble, target, spec: DynamicsSpec,
                          kernel: KernelConfig | None = None,
                          eps: float = 0.0,
-                         field_fn: Callable[[Ensemble, float], object] | None = None,
+                         field_fn: Callable[[Ensemble, float], Array] | None = None,
                          h: float | None = None) -> Ensemble:
     """One half/full/half split step of a block-structured velocity field.
 
-    ``field_fn(ensemble, h)`` must return the full velocity field; each
-    sub-step applies only its block (r and xi for the half steps, theta for
-    the middle step).  Defaults to the Stein-operator field.  For a single
-    particle with Hamiltonian dynamics and zero friction this is exactly
-    classic leapfrog.
+    ``field_fn(ensemble, h)`` must return the full (N, D) velocity field;
+    each sub-step applies only its block (r and xi for the half steps, theta
+    for the middle step).  Defaults to the Stein-operator field.  The two
+    intermediate sub-states are not re-validated: a non-finite value there
+    surfaces as the next field's drift check or as the step's one position
+    check.  For a single particle with Hamiltonian dynamics and zero
+    friction this is exactly classic leapfrog.
     """
     if eps < 0:
         raise ValueError("step size must be nonnegative")
@@ -69,18 +65,12 @@ def symmetric_split_step(e: Ensemble, target, spec: DynamicsSpec,
         aux.append(lo.xi_slice)
 
     x = e.positions.copy()
-    v1 = _values(field_fn(e, h))
+    v = field_fn(e, h)
     for s in aux:
-        x[:, s] += 0.5 * eps * v1[:, s]
-    mid = replace(e, positions=x)
-
-    v2 = _values(field_fn(mid, h))
-    x = mid.positions.copy()
-    x[:, lo.theta_slice] += eps * v2[:, lo.theta_slice]
-    moved = replace(e, positions=x)
-
-    v3 = _values(field_fn(moved, h))
-    x = moved.positions.copy()
+        x[:, s] += 0.5 * eps * v[:, s]
+    v = field_fn(e.with_positions(x.copy()), h)
+    x[:, lo.theta_slice] += eps * v[:, lo.theta_slice]
+    v = field_fn(e.with_positions(x.copy()), h)
     for s in aux:
-        x[:, s] += 0.5 * eps * v3[:, s]
+        x[:, s] += 0.5 * eps * v[:, s]
     return e.with_positions(check_finite(x, "particle position"))

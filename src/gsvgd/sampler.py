@@ -18,7 +18,7 @@ than being clipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +35,14 @@ _MAX_PAIR_BLOCK = 1 << 22
 
 @dataclass(frozen=True)
 class Ensemble:
-    """N particle positions plus the block layout of their coordinates."""
+    """N particle positions plus the block layout of their coordinates.
+
+    The constructor copies and validates its input; :meth:`with_positions`
+    is the unchecked path for positions a step has computed and checked.
+    """
 
     positions: Array
     layout: BlockLayout
-    generation: int = 0
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float, copy=True)
@@ -70,22 +73,13 @@ class Ensemble:
     def xi(self) -> Array:
         return self.positions[:, self.layout.xi_slice]
 
-    def with_positions(self, positions: Array, bump: int = 1) -> "Ensemble":
-        return replace(self, positions=positions,
-                       generation=self.generation + bump)
-
-
-@dataclass(frozen=True)
-class VelocityField:
-    """One velocity per particle; construction verifies finiteness."""
-
-    values: Array
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise ValueError("velocity values must be an (N, D) array")
-        object.__setattr__(self, "values", check_finite(vals, "velocity"))
+    def with_positions(self, positions: Array) -> "Ensemble":
+        """This layout over new (N, D) positions, taken as they are: no copy
+        and no check."""
+        new = object.__new__(Ensemble)
+        object.__setattr__(new, "positions", positions)
+        object.__setattr__(new, "layout", self.layout)
+        return new
 
 
 def _resolve_bandwidth(e: Ensemble, kernel: KernelConfig | None,
@@ -149,7 +143,7 @@ def _stein_velocity(X: Array, F: Array, ac: StructuredAC, h: float) -> Array:
 
 def gsvgd_velocity(e: Ensemble, target, spec: DynamicsSpec,
                    kernel: KernelConfig | None = None,
-                   h: float | None = None) -> VelocityField:
+                   h: float | None = None) -> Array:
     """Stein-operator velocity field of the (A, C) dynamics.
 
     Equals the classic kernelized score update when (A, C) = (I, 0); the
@@ -159,12 +153,12 @@ def gsvgd_velocity(e: Ensemble, target, spec: DynamicsSpec,
     h = _resolve_bandwidth(e, kernel, h)
     X = e.positions
     F, ac = spec.drift_many(X, target)
-    return VelocityField(_stein_velocity(X, check_finite(F, "drift"), ac, h))
+    return _stein_velocity(X, check_finite(F, "drift"), ac, h)
 
 
 def gsvgd_velocity_alt(e: Ensemble, target, spec: DynamicsSpec,
                        kernel: KernelConfig | None = None,
-                       h: float | None = None) -> VelocityField:
+                       h: float | None = None) -> Array:
     """Alternative field: same drift term, repulsion through A only.
 
     Drops C from the kernel-gradient term.  The two fields induce the same
@@ -174,8 +168,7 @@ def gsvgd_velocity_alt(e: Ensemble, target, spec: DynamicsSpec,
     h = _resolve_bandwidth(e, kernel, h)
     X = e.positions
     F, ac = spec.drift_many(X, target)
-    return VelocityField(_stein_velocity(X, check_finite(F, "drift"),
-                                         StructuredAC(ac.a), h))
+    return _stein_velocity(X, check_finite(F, "drift"), StructuredAC(ac.a), h)
 
 
 def blob_grad_log_density(e: Ensemble, kernel: KernelConfig | None = None,
@@ -204,7 +197,7 @@ def blob_grad_log_density(e: Ensemble, kernel: KernelConfig | None = None,
 
 def parvi_blob_velocity(e: Ensemble, target, spec: DynamicsSpec,
                         kernel: KernelConfig | None = None,
-                        h: float | None = None) -> VelocityField:
+                        h: float | None = None) -> Array:
     """Blob-smoothed transport field ``(A+C)(grad_logp - g) + div(A+C)``.
 
     ``g`` is the kernel-density score estimate above.  The field is the
@@ -214,7 +207,7 @@ def parvi_blob_velocity(e: Ensemble, target, spec: DynamicsSpec,
     h = _resolve_bandwidth(e, kernel, h)
     ghat = blob_grad_log_density(e, h=h)
     F, ac = spec.drift_many(e.positions, target)
-    return VelocityField(F - ac.apply(ghat))
+    return check_finite(F, "drift") - ac.apply(ghat)
 
 
 def mcmc_step(e: Ensemble, target, spec: DynamicsSpec, eps: float,

@@ -25,6 +25,22 @@ def fd_gradient(f, x, step=1e-5):
     return out
 
 
+def nonfinite_on_call(grad_fn, call, particle):
+    """Wrap a batched score so that its ``call``-th evaluation (1-based)
+    returns NaN in the row of ``particle`` and every other one is exact."""
+    count = [0]
+
+    def wrapped(X):
+        count[0] += 1
+        out = grad_fn(X)
+        if count[0] == call:
+            out = out.copy()
+            out[particle, 0] = np.nan
+        return out
+
+    return wrapped
+
+
 def rel_err(approx, exact):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)
@@ -163,6 +179,117 @@ def gauss_hermite_stein_expectation(target, spec, x0, h, n_nodes=60):
             total += wa * wb * stein_term(target, spec, x0,
                                           np.array([a, b]), h)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Per-vector BNN oracle: one network at a time, the model written out in the
+# ``gsvgd.bnn`` docstring (flattening W1 row-major, b1, w2, b2, log_gamma,
+# log_lambda; ReLU subgradient 0 at the kink).
+# ---------------------------------------------------------------------------
+
+BNN_LOG_2PI = float(np.log(2.0 * np.pi))
+BNN_GAMMA_RATE = 0.1
+
+
+def bnn_unflatten(vec, d_in, hidden):
+    k = d_in * hidden
+    return (vec[:k].reshape(d_in, hidden), vec[k:k + hidden],
+            vec[k + hidden:k + 2 * hidden], vec[k + 2 * hidden],
+            vec[k + 2 * hidden + 1], vec[k + 2 * hidden + 2])
+
+
+def bnn_forward(vec, X, d_in, hidden):
+    w1, b1, w2, b2, _, _ = bnn_unflatten(vec, d_in, hidden)
+    z = X @ w1 + b1
+    a = np.maximum(z, 0.0)
+    return z, a, a @ w2 + b2
+
+
+def bnn_log_prior(vec, d_in, hidden):
+    w1, b1, w2, b2, lg, ll = bnn_unflatten(vec, d_in, hidden)
+    lam = np.exp(ll)
+    gamma = np.exp(lg)
+    weights_sq = float(np.sum(w1 ** 2) + np.sum(b1 ** 2) + np.sum(w2 ** 2)
+                       + b2 ** 2)
+    n_w = d_in * hidden + hidden + hidden + 1
+    out = 0.5 * n_w * (ll - BNN_LOG_2PI) - 0.5 * lam * weights_sq
+    out += np.log(BNN_GAMMA_RATE) - BNN_GAMMA_RATE * gamma + lg
+    out += np.log(BNN_GAMMA_RATE) - BNN_GAMMA_RATE * lam + ll
+    return float(out)
+
+
+def bnn_grad_log_prior(vec, d_in, hidden):
+    w1, b1, w2, b2, lg, ll = bnn_unflatten(vec, d_in, hidden)
+    lam = np.exp(ll)
+    gamma = np.exp(lg)
+    weights_sq = float(np.sum(w1 ** 2) + np.sum(b1 ** 2) + np.sum(w2 ** 2)
+                       + b2 ** 2)
+    n_w = d_in * hidden + hidden + hidden + 1
+    return np.concatenate([
+        (-lam * w1).reshape(-1), -lam * b1, -lam * w2,
+        [-lam * b2, 1.0 - BNN_GAMMA_RATE * gamma,
+         0.5 * n_w - 0.5 * lam * weights_sq + 1.0 - BNN_GAMMA_RATE * lam]])
+
+
+def _bnn_batch(dataset, idx):
+    if idx is None:
+        return dataset.x_train, dataset.y_train
+    idx = np.asarray(idx, dtype=int)
+    return dataset.x_train[idx], dataset.y_train[idx]
+
+
+def bnn_log_posterior(dataset, hidden, vec, idx=None):
+    """Log prior plus the batch log-likelihood rescaled by n_train/batch."""
+    vec = np.asarray(vec, dtype=float)
+    d_in = dataset.d_in
+    Xb, yb = _bnn_batch(dataset, idx)
+    lg = vec[-2]
+    gamma = np.exp(lg)
+    resid = yb - bnn_forward(vec, Xb, d_in, hidden)[2]
+    loglik = np.sum(0.5 * (lg - BNN_LOG_2PI) - 0.5 * gamma * resid ** 2)
+    scale = dataset.n_train / Xb.shape[0]
+    return float(scale * loglik) + bnn_log_prior(vec, d_in, hidden)
+
+
+def bnn_grad_log_posterior(dataset, hidden, vec, idx=None):
+    """Hand backpropagation through one network."""
+    vec = np.asarray(vec, dtype=float)
+    d_in = dataset.d_in
+    Xb, yb = _bnn_batch(dataset, idx)
+    _, _, w2, _, lg, _ = bnn_unflatten(vec, d_in, hidden)
+    gamma = np.exp(lg)
+    z, a, m = bnn_forward(vec, Xb, d_in, hidden)
+    resid = yb - m
+    scale = dataset.n_train / Xb.shape[0]
+    dm = gamma * resid
+    dz = (dm[:, None] * w2[None, :]) * (z > 0)
+    lik = np.concatenate([
+        (Xb.T @ dz).reshape(-1), dz.sum(axis=0), a.T @ dm,
+        [float(np.sum(dm)),
+         float(np.sum(0.5 - 0.5 * gamma * resid ** 2)), 0.0]])
+    return scale * lik + bnn_grad_log_prior(vec, d_in, hidden)
+
+
+def bnn_predict(theta, x, dataset, hidden):
+    """Per-particle outputs in original units, shape (N, m)."""
+    Xs = dataset.standardize_x(np.atleast_2d(np.asarray(x, dtype=float)))
+    return np.stack([
+        bnn_forward(vec, Xs, dataset.d_in, hidden)[2] * dataset.targ_std
+        + dataset.targ_mean for vec in np.atleast_2d(theta)])
+
+
+def bnn_predictive_log_likelihood(theta, dataset, hidden):
+    """Mean test log density of the ensemble's predictive mixture."""
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    y_std = (dataset.y_test - dataset.targ_mean) / dataset.targ_std
+    logp = np.empty((theta.shape[0], dataset.n_test))
+    for i, vec in enumerate(theta):
+        m = bnn_forward(vec, dataset.x_test, dataset.d_in, hidden)[2]
+        gamma = np.exp(vec[-2])
+        logp[i] = 0.5 * (vec[-2] - BNN_LOG_2PI) - 0.5 * gamma * (y_std - m) ** 2
+    mx = logp.max(axis=0)
+    mix = mx + np.log(np.mean(np.exp(logp - mx[None, :]), axis=0))
+    return float(np.mean(mix) - np.log(dataset.targ_std))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_criterion_01_svgd_reduction():
         layout = spec.layout
         x = rng.standard_normal((n, d))
         h = float(rng.uniform(0.5, 3.0))
-        v = g.gsvgd_velocity(g.Ensemble(x, layout), target, spec, h=h).values
+        v = g.gsvgd_velocity(g.Ensemble(x, layout), target, spec, h=h)
         worst = max(worst, float(np.max(np.abs(v - svgd_reference(
             x, target.grad_logp, h)))))
     assert worst <= 1e-12
@@ -379,7 +379,7 @@ def test_criterion_09_alternative_field_nonvanishing():
 
     def mean_sq(m, field):
         e = g.Ensemble(aug.sample_exact(rng, m), layout)
-        return float(np.mean(field(e, aug, spec, h=1.0).values ** 2))
+        return float(np.mean(field(e, aug, spec, h=1.0) ** 2))
 
     small = mean_sq(1000, g.gsvgd_velocity)
     main = mean_sq(10_000, g.gsvgd_velocity)

@@ -7,6 +7,7 @@ from gsvgd.bnn import (BNNPosterior, Dataset, MinibatchSchedule,
                        param_dim, predict, predictive_log_likelihood,
                        unflatten_params)
 
+import helpers
 from helpers import fd_gradient
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -169,6 +170,81 @@ class TestGradLogPosterior:
                                    atol=1e-12)
 
 
+def stacked_case(d_in, hidden, n):
+    """A dataset, its posterior and an (n, P) weight stack whose rows are
+    strided, as the theta block of a stacked state is."""
+    ds = synthetic_dataset(n=40, d_in=d_in, seed=d_in)
+    post = BNNPosterior(ds, hidden=hidden)
+    rng = np.random.default_rng(100 * d_in + 10 * hidden + n)
+    state = 0.7 * rng.standard_normal((n, 2 * post.dim))
+    return ds, post, state[:, :post.dim]
+
+
+BATCHES = {"full": None, "minibatch": np.array([7, 0, 22, 13, 5, 30, 18]),
+           "single": np.array([11])}
+
+
+class TestBatchedScore:
+    """The stacked pass is pinned bit for bit to the per-vector oracle."""
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    @pytest.mark.parametrize("hidden", [1, 4, 50])
+    @pytest.mark.parametrize("d_in", [1, 3])
+    def test_score_matches_oracle(self, d_in, hidden, n, batch):
+        ds, post, W = stacked_case(d_in, hidden, n)
+        idx = BATCHES[batch]
+        target = post.as_target(idx)
+        np.testing.assert_array_equal(target.grad_many(W), np.stack([
+            helpers.bnn_grad_log_posterior(ds, hidden, w, idx) for w in W]))
+        np.testing.assert_array_equal(target.logp_many(W), [
+            helpers.bnn_log_posterior(ds, hidden, w, idx) for w in W])
+
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    @pytest.mark.parametrize("hidden", [1, 4, 50])
+    @pytest.mark.parametrize("d_in", [1, 3])
+    def test_prediction_matches_oracle(self, d_in, hidden, n):
+        ds, _, W = stacked_case(d_in, hidden, n)
+        xs = np.random.default_rng(n).uniform(-1.0, 1.0, size=(5, d_in))
+        mean, per = predict(W, xs, ds, hidden=hidden)
+        expected = helpers.bnn_predict(W, xs, ds, hidden)
+        np.testing.assert_array_equal(per, expected)
+        np.testing.assert_array_equal(mean, expected.mean(axis=0))
+        assert predictive_log_likelihood(W, ds, hidden=hidden) == \
+            helpers.bnn_predictive_log_likelihood(W, ds, hidden)
+
+    def test_relu_kink_takes_zero_branch(self):
+        ds = identity_dataset([[1.0], [2.0], [-1.0]], [0.5, -0.5, 0.2])
+        post = BNNPosterior(ds, hidden=3)
+        rng = np.random.default_rng(12)
+        vecs = []
+        for _ in range(4):
+            w1 = rng.standard_normal((1, 3))
+            b1 = rng.standard_normal(3)
+            w1[0, 1] = b1[1] = 0.0        # unit 1 sits exactly at the kink
+            vecs.append(flatten_params(w1, b1, rng.standard_normal(3), 0.1,
+                                       0.2, -0.3))
+        W = np.stack(vecs)
+        grad = post.grad_many(W)
+        np.testing.assert_array_equal(grad, np.stack([
+            helpers.bnn_grad_log_posterior(ds, 3, w) for w in W]))
+        # The dead unit's input weight and bias get the prior term only.
+        lam = np.exp(W[:, -1])
+        np.testing.assert_array_equal(grad[:, [1, 4]], -lam[:, None] * W[:, [1, 4]])
+        np.testing.assert_array_equal(post.logp_many(W), [
+            helpers.bnn_log_posterior(ds, 3, w) for w in W])
+
+    def test_stack_unflattens_to_views(self):
+        W = np.arange(2.0 * param_dim(2, 3)).reshape(2, -1)
+        w1, b1, w2, b2, lg, ll = unflatten_params(W, 2, 3)
+        assert w1.shape == (2, 2, 3) and b1.shape == w2.shape == (2, 3)
+        for i in range(2):
+            for part, row in zip((w1, b1, w2, b2, lg, ll),
+                                 unflatten_params(W[i], 2, 3)):
+                np.testing.assert_array_equal(part[i], row)
+        assert np.shares_memory(w1, W)
+
+
 class TestPredict:
     def test_single_particle(self):
         ds = identity_dataset([[0.0]], [0.0])
@@ -312,6 +388,37 @@ class TestCsvLoader:
         rows[4] = "1.0,oops"
         path.write_text("\n".join(rows))
         with pytest.raises(ValueError, match="row 5, column 2"):
+            load_regression_csv(path, seed=0)
+
+    def test_headerless_file_loads_every_row_once(self, tmp_path):
+        path = tmp_path / "data.csv"
+        table = np.arange(24.0).reshape(12, 2)
+        path.write_text("\n".join(",".join(map(str, r)) for r in table))
+        ds = load_regression_csv(path, seed=0)
+        np.testing.assert_array_equal(ds.features[:, 0], table[:, 0])
+        np.testing.assert_array_equal(ds.targets, table[:, 1])
+
+    def test_headerless_nonfinite_cell_names_location(self, tmp_path):
+        path = tmp_path / "data.csv"
+        rows = [",".join(map(str, r)) for r in np.ones((12, 2))]
+        rows[4] = "1.0,nan"
+        path.write_text("\n".join(rows))
+        with pytest.raises(ValueError, match="non-finite cell at row 5, column 2"):
+            load_regression_csv(path, seed=0)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_nonfinite_cell_names_location(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        rows = ["x,y"] + [",".join(map(str, r)) for r in np.ones((12, 2))]
+        rows[7] = f"{cell},1.0"
+        path.write_text("\n".join(rows))
+        with pytest.raises(ValueError, match="non-finite cell at row 8, column 1"):
+            load_regression_csv(path, seed=0)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x,y\n")
+        with pytest.raises(ValueError, match="no data rows"):
             load_regression_csv(path, seed=0)
 
     def test_too_few_rows(self, tmp_path):

@@ -5,8 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from gsvgd import diagnostics
 from gsvgd.cli import main, parse_config, run_experiment
+from gsvgd.dynamics import DynamicsSpec
 from gsvgd.errors import ConfigError, NumericalError
+from gsvgd.targets import TargetDensity
+
+from helpers import nonfinite_on_call
 
 
 def minimal_config(**overrides):
@@ -153,6 +158,37 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert exc.value.iteration is not None
 
+    def test_final_metrics_reuse_the_last_trace_row(self, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        real = diagnostics.energy_distance
+        monkeypatch.setattr(diagnostics, "energy_distance",
+                            lambda *a: calls.append(1) or real(*a))
+        cfg = parse_config(small_run_config(tmp_path / "o"))
+        summary = run_experiment(cfg)
+        # The initial state plus the trace rows at 5, 10, 15 and 20.
+        assert len(calls) == 5
+        last = (tmp_path / "o" / "trace.csv").read_text().splitlines()[-1]
+        assert last == f"20,{summary['final']['energy_dist']!r}"
+
+    def test_split_abort_in_middle_substate_names_iteration_and_particle(
+            self, tmp_path, monkeypatch):
+        # The augmented score turns non-finite for particle 2 only at the
+        # middle sub-state of iteration 3 (its 8th evaluation).
+        real_augment = DynamicsSpec.augment
+
+        def augment(spec, base):
+            target = real_augment(spec, base)
+            grad = nonfinite_on_call(target.grad_fn, call=8, particle=2)
+            return TargetDensity(target.dim, target.logp_fn, grad,
+                                 target.exact_sampler, target.name)
+
+        monkeypatch.setattr(DynamicsSpec, "augment", augment)
+        cfg = parse_config(small_run_config(tmp_path / "o"))
+        with pytest.raises(NumericalError) as exc:
+            run_experiment(cfg)
+        assert (exc.value.iteration, exc.value.particle) == (3, 2)
+
     def test_resample_period(self, tmp_path):
         cfg = parse_config(small_run_config(
             tmp_path / "o", sampler={"resample_period": 5}))
@@ -233,6 +269,27 @@ class TestBnnRun:
         header = (tmp_path / "o" / "trace.csv").read_text().splitlines()[0]
         assert header == "iter,test_ll"
 
+    def test_minibatch_hmc_reruns_are_byte_identical(self, tmp_path,
+                                                     csv_path):
+        cfg = parse_config(json.dumps({
+            "target": "bnn", "method": "gsvgd",
+            "dynamics": {"kind": "HMC", "A": 1.0, "sigma2": 1.0},
+            "integrator": "split",
+            "run": {"eps": 0.002, "iters": 12, "n_particles": 5, "seed": 4},
+            "trace": {"every": 4}, "bnn": {"hidden": 6, "batch": 8},
+            "data": {"path": str(csv_path), "seed": 1},
+            "output_dir": str(tmp_path / "o")}))
+        assert cfg.bnn_batch < 36          # 40 rows, 36 in the train split
+        for name in ("a", "b"):
+            run_experiment(cfg, output_dir=str(tmp_path / name))
+        files = ["trace.csv", "summary.json"] + [
+            os.path.join("snapshots", f)
+            for f in sorted(os.listdir(tmp_path / "a" / "snapshots"))]
+        assert len(files) == 6             # iterations 0, 4, 8 and 12
+        for f in files:
+            assert (tmp_path / "a" / f).read_bytes() == \
+                (tmp_path / "b" / f).read_bytes(), f
+
 
 class TestMain:
     def test_run_and_exit_codes(self, tmp_path, capsys):
@@ -290,6 +347,25 @@ class TestMain:
         assert main(["run", "--config", str(path)]) == 2
         assert not out.exists()
         assert f"config error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_nonfinite_dataset_cell_is_config_error(self, tmp_path, capsys,
+                                                    cell):
+        data = tmp_path / "data.csv"
+        rows = [f"{0.1 * i},{np.sin(0.3 * i)}" for i in range(30)]
+        rows[12] = f"0.5,{cell}"
+        data.write_text("\n".join(rows))
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(minimal_config(
+            target="bnn", method="gsvgd", dynamics={"kind": "HMC"},
+            integrator="split", data={"path": str(data)},
+            output_dir=str(out)))
+        assert main(["run", "--config", str(path)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error: data.path:" in err
+        assert "row 13, column 2" in err
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4

@@ -4,8 +4,11 @@ import pytest
 from gsvgd.dynamics import DynamicsSpec
 from gsvgd.integrator import euler_step, symmetric_split_step
 from gsvgd.kernels import KernelConfig
+from gsvgd.errors import NumericalError
 from gsvgd.sampler import Ensemble, gsvgd_velocity
-from gsvgd.targets import standard_gaussian
+from gsvgd.targets import TargetDensity, standard_gaussian
+
+from helpers import nonfinite_on_call
 
 
 def ld_field(target, spec, h=1.0):
@@ -51,13 +54,6 @@ class TestEulerStep:
 
         ratio = gap(0.2) / gap(0.1)
         assert 3.5 <= ratio <= 4.5
-
-    def test_generation_increments(self):
-        target = standard_gaussian(1)
-        spec = DynamicsSpec("LD", 1)
-        layout = spec.layout
-        e = Ensemble(np.array([[0.5]]), layout)
-        assert euler_step(e, ld_field(target, spec), 0.1).generation == 1
 
 
 class TestSymmetricSplitStep:
@@ -130,6 +126,52 @@ class TestSymmetricSplitStep:
 
         ratio = gap(0.1) / gap(0.05)
         assert 3.0 <= ratio <= 5.0
+
+    def test_nonfinite_middle_substate_names_particle(self):
+        # Sub-states are not re-validated; the score of the middle
+        # sub-state (the 2nd of 3 field evaluations) is what turns
+        # non-finite, and the field's drift check still names particle 1.
+        target, spec, layout = leapfrog_setup(friction=0.3)
+        bad = TargetDensity(2, target.logp_fn,
+                            nonfinite_on_call(target.grad_fn, 2, 1))
+        e = Ensemble(np.array([[0.5, 0.1], [-0.4, 0.3], [0.2, -0.6]]), layout)
+        with pytest.raises(NumericalError) as exc:
+            symmetric_split_step(e, bad, spec, eps=0.1, h=1.0)
+        assert exc.value.particle == 1
+        assert "drift" in str(exc.value)
+
+    def test_leaves_its_input_unchanged(self):
+        target, spec, layout = leapfrog_setup(friction=0.3)
+        x = np.array([[0.5, 0.1], [-0.4, 0.3]])
+        e = Ensemble(x, layout)
+        seen = []
+
+        def field(ens, h):
+            seen.append(ens.positions)
+            return gsvgd_velocity(ens, target, spec, h=h)
+
+        out = symmetric_split_step(e, target, spec, eps=0.1, h=1.0,
+                                   field_fn=field)
+        np.testing.assert_array_equal(e.positions, x)
+        assert seen[0] is e.positions
+        # Each sub-state is its own snapshot, untouched by later sub-steps.
+        assert not np.shares_memory(seen[1], seen[2])
+        assert not np.shares_memory(seen[2], out.positions)
+        np.testing.assert_array_equal(seen[1][:, 0], x[:, 0])
+
+    def test_nonfinite_result_names_particle(self):
+        target, spec, layout = leapfrog_setup()
+        e = Ensemble(np.array([[0.5, 0.1], [-0.4, 0.3]]), layout)
+
+        def field(ens, h):
+            v = np.zeros_like(ens.positions)
+            v[1, 1] = np.inf
+            return v
+
+        with pytest.raises(NumericalError) as exc:
+            symmetric_split_step(e, target, spec, eps=0.1, h=1.0,
+                                 field_fn=field)
+        assert exc.value.particle == 1
 
     def test_thermostat_block_moves_with_half_steps(self):
         base = standard_gaussian(1)

@@ -4,9 +4,9 @@ import pytest
 from gsvgd.dynamics import KINDS, DynamicsSpec
 from gsvgd.errors import NumericalError
 from gsvgd.kernels import KernelConfig, median_bandwidth
-from gsvgd.sampler import (Ensemble, VelocityField, blob_grad_log_density,
-                           gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
-                           parvi_blob_velocity, resample_momentum)
+from gsvgd.sampler import (Ensemble, blob_grad_log_density, gsvgd_velocity,
+                           gsvgd_velocity_alt, mcmc_step, parvi_blob_velocity,
+                           resample_momentum)
 from gsvgd.targets import BlockLayout, TargetDensity, standard_gaussian
 
 from helpers import dense_AC, dense_drift, make_spec, stein_term, svgd_reference
@@ -33,23 +33,18 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             Ensemble(np.array([[np.inf, 0.0]]), BlockLayout.theta_only(2))
 
-    def test_velocity_field_rejects_nonfinite(self):
-        with pytest.raises(NumericalError) as exc:
-            VelocityField(np.array([[0.0, 0.0], [np.nan, 1.0]]))
-        assert exc.value.particle == 1
-
 
 class TestGsvgdVelocity:
     def test_single_particle_is_drift(self):
         target, spec, layout = ld_setup(2)
         e = Ensemble(np.array([[1.0, 0.0]]), layout)
         v = gsvgd_velocity(e, target, spec, h=1.0)
-        np.testing.assert_array_equal(v.values, [[-1.0, 0.0]])
+        np.testing.assert_array_equal(v, [[-1.0, 0.0]])
 
     def test_two_particle_hand_value(self):
         target, spec, layout = ld_setup(1)
         e = Ensemble(np.array([[-1.0], [1.0]]), layout)
-        v = gsvgd_velocity(e, target, spec, h=1.0).values
+        v = gsvgd_velocity(e, target, spec, h=1.0)
         expected = (1.0 - 5.0 * np.exp(-4.0)) / 2.0
         assert v[0, 0] == pytest.approx(expected, abs=1e-12)
         assert v[1, 0] == pytest.approx(-expected, abs=1e-12)
@@ -62,7 +57,7 @@ class TestGsvgdVelocity:
             target, spec, layout = ld_setup(d)
             x = rng.standard_normal((n, d))
             h = float(rng.uniform(0.5, 3.0))
-            v = gsvgd_velocity(Ensemble(x, layout), target, spec, h=h).values
+            v = gsvgd_velocity(Ensemble(x, layout), target, spec, h=h)
             ref = svgd_reference(x, target.grad_logp, h)
             assert np.max(np.abs(v - ref)) <= 1e-12
 
@@ -71,7 +66,7 @@ class TestGsvgdVelocity:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 4))
         e = Ensemble(x, layout)
-        v = gsvgd_velocity(e, target, spec, h=1.3).values
+        v = gsvgd_velocity(e, target, spec, h=1.3)
         for i in range(6):
             direct = np.mean(
                 [stein_term(target, spec, x[i], x[j], 1.3) for j in range(6)],
@@ -88,14 +83,14 @@ class TestGsvgdVelocity:
         h = 0.9
         for field, curl in ((gsvgd_velocity, True),
                             (gsvgd_velocity_alt, False)):
-            v = field(e, target, spec, h=h).values
+            v = field(e, target, spec, h=h)
             for i in range(5):
                 direct = np.mean(
                     [stein_term(target, spec, x[i], x[j], h, curl=curl)
                      for j in range(5)], axis=0)
                 np.testing.assert_allclose(v[i], direct, rtol=1e-12,
                                            atol=1e-12)
-        v = parvi_blob_velocity(e, target, spec, h=h).values
+        v = parvi_blob_velocity(e, target, spec, h=h)
         ghat = blob_grad_log_density(e, h=h)
         for i in range(5):
             A, C = dense_AC(spec, x[i])
@@ -107,9 +102,9 @@ class TestGsvgdVelocity:
         target, spec, layout = hmc_setup(3)
         rng = np.random.default_rng(18)
         e = Ensemble(rng.standard_normal((40, 6)), layout)
-        full = gsvgd_velocity(e, target, spec, h=1.1).values
+        full = gsvgd_velocity(e, target, spec, h=1.1)
         monkeypatch.setattr(sampler_mod, "_MAX_PAIR_BLOCK", 7 * 40)
-        chunked = gsvgd_velocity(e, target, spec, h=1.1).values
+        chunked = gsvgd_velocity(e, target, spec, h=1.1)
         np.testing.assert_array_equal(chunked, full)
 
     @pytest.mark.parametrize("kind", ["LD", "NHT"])
@@ -123,9 +118,9 @@ class TestGsvgdVelocity:
         x = rng.uniform(-1.5, 1.5, size=(31, spec.dim))
         e = Ensemble(x, spec.layout)
         h = 0.8
-        single = gsvgd_velocity(e, target, spec, h=h).values
+        single = gsvgd_velocity(e, target, spec, h=h)
         monkeypatch.setattr(sampler_mod, "_MAX_PAIR_BLOCK", 64)
-        chunked = gsvgd_velocity(e, target, spec, h=h).values
+        chunked = gsvgd_velocity(e, target, spec, h=h)
         np.testing.assert_allclose(chunked, single, rtol=0, atol=1e-12)
         if kind == "LD":
             ref = svgd_reference(x, target.grad_logp, h)
@@ -140,7 +135,7 @@ class TestGsvgdVelocity:
         v_cfg = gsvgd_velocity(e, target, spec, kernel=KernelConfig("median"))
         v_h = gsvgd_velocity(e, target, spec,
                              h=median_bandwidth(e.positions))
-        np.testing.assert_array_equal(v_cfg.values, v_h.values)
+        np.testing.assert_array_equal(v_cfg, v_h)
 
     def test_nonfinite_drift_reports_particle(self):
         bad = TargetDensity(
@@ -159,9 +154,9 @@ class TestGsvgdVelocity:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((8, 4))
         perm = rng.permutation(8)
-        v = gsvgd_velocity(Ensemble(x, layout), target, spec, h=1.0).values
+        v = gsvgd_velocity(Ensemble(x, layout), target, spec, h=1.0)
         v_perm = gsvgd_velocity(Ensemble(x[perm], layout), target, spec,
-                                h=1.0).values
+                                h=1.0)
         np.testing.assert_allclose(v_perm, v[perm], atol=1e-12)
 
 
@@ -170,15 +165,15 @@ class TestAlternativeField:
         target, spec, layout = ld_setup(2)
         rng = np.random.default_rng(3)
         e = Ensemble(rng.standard_normal((5, 2)), layout)
-        v = gsvgd_velocity(e, target, spec, h=1.0).values
-        va = gsvgd_velocity_alt(e, target, spec, h=1.0).values
+        v = gsvgd_velocity(e, target, spec, h=1.0)
+        va = gsvgd_velocity_alt(e, target, spec, h=1.0)
         np.testing.assert_array_equal(v, va)
 
     def test_single_particle_equality(self):
         target, spec, layout = hmc_setup(1)
         e = Ensemble(np.array([[0.4, -0.2]]), layout)
-        v = gsvgd_velocity(e, target, spec, h=1.0).values
-        va = gsvgd_velocity_alt(e, target, spec, h=1.0).values
+        v = gsvgd_velocity(e, target, spec, h=1.0)
+        va = gsvgd_velocity_alt(e, target, spec, h=1.0)
         np.testing.assert_allclose(va, v, atol=1e-15)
 
     def test_difference_is_curl_repulsion(self):
@@ -187,8 +182,8 @@ class TestAlternativeField:
         x = rng.standard_normal((2, 2))
         e = Ensemble(x, layout)
         h = 0.9
-        diff = (gsvgd_velocity(e, target, spec, h=h).values
-                - gsvgd_velocity_alt(e, target, spec, h=h).values)
+        diff = (gsvgd_velocity(e, target, spec, h=h)
+                - gsvgd_velocity_alt(e, target, spec, h=h))
         for i in range(2):
             acc = np.zeros(2)
             for j in range(2):
@@ -207,7 +202,7 @@ class TestAlternativeField:
         def mean_sq(m, field):
             x = target.sample_exact(rng, m)
             e = Ensemble(x, layout)
-            return float(np.mean(field(e, target, spec, h=1.0).values ** 2))
+            return float(np.mean(field(e, target, spec, h=1.0) ** 2))
 
         small = mean_sq(500, gsvgd_velocity)
         big = mean_sq(4000, gsvgd_velocity)
@@ -242,14 +237,14 @@ class TestParviBlob:
     def test_single_particle_ld_is_score(self):
         target, spec, layout = ld_setup(2)
         e = Ensemble(np.array([[0.8, -0.5]]), layout)
-        v = parvi_blob_velocity(e, target, spec, h=1.0).values
+        v = parvi_blob_velocity(e, target, spec, h=1.0)
         np.testing.assert_array_equal(v, target.grad_many(e.positions))
 
     def test_identity_dynamics_reduces_to_blob_method(self):
         target, spec, layout = ld_setup(2)
         rng = np.random.default_rng(6)
         e = Ensemble(rng.standard_normal((7, 2)), layout)
-        v = parvi_blob_velocity(e, target, spec, h=1.1).values
+        v = parvi_blob_velocity(e, target, spec, h=1.1)
         expected = target.grad_many(e.positions) - blob_grad_log_density(
             e, h=1.1)
         np.testing.assert_allclose(v, expected, atol=1e-15)
@@ -259,7 +254,7 @@ class TestParviBlob:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, 4))
         e = Ensemble(x, layout)
-        v = parvi_blob_velocity(e, target, spec, h=1.0).values
+        v = parvi_blob_velocity(e, target, spec, h=1.0)
         ghat = blob_grad_log_density(e, h=1.0)
         for i in range(5):
             A, C = dense_AC(spec, x[i])
