@@ -4,10 +4,10 @@ from .dynamics import KINDS, DynamicsSpec, RiemannConfig, StructuredAC
 from .errors import ConfigError, NumericalError
 from .integrator import euler_step, symmetric_split_step
 from .kernels import KernelConfig, median_bandwidth
-from .sampler import (Ensemble, blob_grad_log_density, gsvgd_velocity,
+from .sampler import (blob_grad_log_density, gsvgd_velocity,
                       gsvgd_velocity_alt, mcmc_step, parvi_blob_velocity,
                       resample_momentum)
-from .targets import (BlockLayout, TargetDensity, gaussian, gaussian_mixture,
+from .targets import (TargetDensity, gaussian, gaussian_mixture,
                       standard_gaussian, tri_crescent_target)
 
 __all__ = [
@@ -15,9 +15,9 @@ __all__ = [
     "ConfigError", "NumericalError",
     "euler_step", "symmetric_split_step",
     "KernelConfig", "median_bandwidth",
-    "Ensemble", "blob_grad_log_density", "gsvgd_velocity", "gsvgd_velocity_alt",
+    "blob_grad_log_density", "gsvgd_velocity", "gsvgd_velocity_alt",
     "mcmc_step", "parvi_blob_velocity", "resample_momentum",
-    "BlockLayout", "TargetDensity", "gaussian", "gaussian_mixture",
+    "TargetDensity", "gaussian", "gaussian_mixture",
     "standard_gaussian", "tri_crescent_target",
 ]
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ from .dynamics import (KINDS, KINDS_WITH_R, RIEMANN_KINDS, DynamicsSpec,
 from .errors import ConfigError, NumericalError
 from .integrator import euler_step, symmetric_split_step
 from .kernels import KernelConfig
-from .sampler import (Ensemble, gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
+from .sampler import (gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
                       parvi_blob_velocity, resample_momentum)
 
 TARGETS = ("gauss", "gauss_mix", "tri_crescent", "bnn")
@@ -125,18 +126,22 @@ def _section(raw: dict, name: str, allowed: tuple[str, ...]) -> dict:
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A finite JSON number: not a bool, NaN, an infinity or an overflow."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:                # an integer beyond the float range
+        return False
 
 
 def _number(sec: dict, section: str, key: str, default, *, minimum=None,
             exclusive=False, allow_none=False):
     val = sec.get(key, default)
-    if val is None:
-        if allow_none:
-            return None
-        raise ConfigError(f"{section}.{key}", "must be a number")
+    if val is None and allow_none:
+        return None
     if not _is_number(val):
-        raise ConfigError(f"{section}.{key}", "must be a number")
+        raise ConfigError(f"{section}.{key}", "must be a finite number")
     if minimum is not None:
         if exclusive and val <= minimum:
             raise ConfigError(f"{section}.{key}", f"must be > {minimum}")
@@ -162,7 +167,8 @@ def _numbers(val, key: str, ndim: int):
             isinstance(r, list) and r and len(r) == len(rows[0])
             and all(_is_number(v) for v in r) for r in rows)):
         raise ConfigError(key, "must be a nonempty list of " + (
-            "numbers" if ndim == 1 else "equal-length lists of numbers"))
+            "finite numbers" if ndim == 1
+            else "equal-length lists of finite numbers"))
     return None if val is None else np.array(val, dtype=float).tolist()
 
 
@@ -298,13 +304,13 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 _TARGET_KEYS = {"gauss": {"dim", "mean", "cov"}, "tri_crescent": set(),
-                "gauss_mix": {"means", "weights", "var"}}
+                "gauss_mix": {"means", "weights", "var"}, "bnn": set()}
 
 
 def _build_base_target(cfg: RunConfig):
     """Build the theta-space target; returns (target, dataset_or_None)."""
     p = cfg.target_params
-    unknown = set(p) - _TARGET_KEYS.get(cfg.target, set(p))
+    unknown = set(p) - _TARGET_KEYS[cfg.target]
     if unknown:
         raise ConfigError("target_params", f"unknown keys {sorted(unknown)}")
     if cfg.target == "gauss":
@@ -407,26 +413,23 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     dataset = posterior = None
     if bnn_extras is not None:
         dataset, posterior = bnn_extras
-    layout = spec.layout
     kernel = KernelConfig(cfg.kernel_mode, cfg.kernel_h, cfg.kernel_h_min)
 
-    # Initial ensemble: theta from its init distribution, momentum from its
+    # Initial state: theta from its init distribution, momentum from its
     # Gaussian reference, thermostat at its prior mean.
-    n = cfg.n_particles
+    n, d = cfg.n_particles, spec.d_theta
     if posterior is not None:
         theta0 = np.stack([bnn_mod.init_params(rng_init, dataset.d_in,
                                                cfg.bnn_hidden)
                            for _ in range(n)])
     else:
-        theta0 = np.sqrt(cfg.theta_var) * rng_init.standard_normal(
-            (n, base.dim))
+        theta0 = np.sqrt(cfg.theta_var) * rng_init.standard_normal((n, d))
     blocks = [theta0]
-    if layout.has_r:
-        blocks.append(np.sqrt(spec.sigma2) * rng_init.standard_normal(
-            (n, layout.d_r)))
-    if layout.has_xi:
-        blocks.append(np.full((n, layout.d_xi), spec.xi_mean))
-    e = Ensemble(np.concatenate(blocks, axis=1), layout)
+    if spec.has_r:
+        blocks.append(np.sqrt(spec.sigma2) * rng_init.standard_normal((n, d)))
+    if spec.has_xi:
+        blocks.append(np.full((n, d), spec.xi_mean))
+    X = np.concatenate(blocks, axis=1)
 
     # Diagnostics setup.
     ref = None
@@ -440,19 +443,20 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     if posterior is not None:
         columns.append("test_ll")
 
-    def metrics_of(ens: Ensemble) -> dict:
+    def metrics_of(state) -> dict:
+        theta = state[:, spec.theta_slice]
         out: dict = {}
         if ref is not None:
-            out["energy_dist"] = diagnostics.energy_distance(ens.theta(), ref)
+            out["energy_dist"] = diagnostics.energy_distance(theta, ref)
         if centers is not None:
             fractions, unassigned = diagnostics.mode_occupancy(
-                ens, centers, cfg.mode_radius)
+                theta, centers, cfg.mode_radius)
             for k, frac in enumerate(fractions):
                 out[f"mode_{k}"] = float(frac)
             out["unassigned"] = unassigned
         if posterior is not None:
             out["test_ll"] = diagnostics.test_log_likelihood(
-                ens, dataset, cfg.bnn_hidden)
+                theta, dataset, cfg.bnn_hidden)
         return out
 
     schedule = None
@@ -461,6 +465,10 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
                                              rng_batch)
     velocity = _velocity_fn(cfg.method)
 
+    def field(Y):
+        # The loop below sets target_it and the bandwidth h of each step.
+        return velocity(Y, target_it, spec, h)
+
     trace_iters = set(range(cfg.trace_every, cfg.iters + 1, cfg.trace_every))
     trace_iters.add(cfg.iters)
 
@@ -468,8 +476,8 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     with diagnostics.TraceWriter(os.path.join(out_dir, "trace.csv"), columns,
                                  snapshot_dir=snap_dir) as writer:
         diagnostics.write_snapshot(
-            os.path.join(snap_dir, "snapshot_00000000.csv"), 0, e.positions)
-        summary["initial"] = row = metrics_of(e)
+            os.path.join(snap_dir, "snapshot_00000000.csv"), 0, X)
+        summary["initial"] = row = metrics_of(X)
 
         target_it = spec.augment(base)
         for it in range(1, cfg.iters + 1):
@@ -478,27 +486,22 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
                     base_it = posterior.as_target(schedule.next())
                     target_it = spec.augment(base_it)
                 if cfg.method == "mcmc":
-                    e = mcmc_step(e, target_it, spec, cfg.eps, rng_mcmc)
+                    X = mcmc_step(X, target_it, spec, cfg.eps, rng_mcmc)
                 else:
-                    h = kernel.bandwidth(e.positions)
+                    h = kernel.bandwidth(X)
                     if cfg.integrator == "euler":
-                        e = euler_step(
-                            e, lambda ens: velocity(ens, target_it, spec, h=h),
-                            cfg.eps)
+                        X = euler_step(X, field, cfg.eps)
                     else:
-                        e = symmetric_split_step(
-                            e, target_it, spec, eps=cfg.eps, h=h,
-                            field_fn=lambda ens, hh: velocity(
-                                ens, target_it, spec, h=hh))
+                        X = symmetric_split_step(X, field, cfg.eps, spec)
                 if cfg.resample_period and it % cfg.resample_period == 0:
-                    e = resample_momentum(e, spec, rng_resample)
+                    X = resample_momentum(X, spec, rng_resample)
             except NumericalError as err:
                 raise NumericalError(
                     "run aborted on non-finite value", iteration=it,
                     particle=err.particle) from err
             if it in trace_iters:
-                row = metrics_of(e)
-                writer.record(it, row, snapshot=e.positions)
+                row = metrics_of(X)
+                writer.record(it, row, snapshot=X)
 
     summary["final"] = row               # the trace row of iteration cfg.iters
     path = os.path.join(out_dir, "summary.json")
@@ -517,7 +520,11 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
 
 def _load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError("config", f"not valid UTF-8: {err}") from None
+    return parse_config(text)
 
 
 def main(argv=None) -> int:
@@ -545,7 +552,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = _load_config(args.config)
             if args.seed is not None:
-                cfg.seed = args.seed
+                cfg.seed = _integer({"seed": args.seed}, "run", "seed", None,
+                                    minimum=0)
             summary = run_experiment(cfg, output_dir=args.out)
             out_dir = args.out if args.out is not None else cfg.output_dir
             print(json.dumps(summary["final"], sort_keys=True))

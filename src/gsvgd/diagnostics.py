@@ -9,7 +9,6 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from . import bnn
-from .sampler import Ensemble
 
 Array = np.ndarray
 
@@ -36,9 +35,9 @@ def energy_distance(X: Array, Y: Array) -> float:
     return 2.0 * cross - within_x - within_y
 
 
-def mode_occupancy(e: Ensemble, centers: Sequence[Array],
+def mode_occupancy(theta: Array, centers: Sequence[Array],
                    radius: float) -> tuple[Array, float]:
-    """Fraction of particles within ``radius`` of each center (theta block).
+    """Fraction of the (N, d) ``theta`` rows within ``radius`` of each center.
 
     Each particle counts toward its nearest center only; ties go to the
     lower-index center.  Particles near no center are reported as the
@@ -49,21 +48,21 @@ def mode_occupancy(e: Ensemble, centers: Sequence[Array],
         raise ValueError("centers must be nonempty")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    theta = e.theta()
     if theta.shape[1] != centers.shape[1]:
         raise ValueError("centers must match the theta-block dimension")
     dists = cdist(theta, centers)
     nearest = np.argmin(dists, axis=1)          # ties resolve to lower index
-    within = dists[np.arange(e.n), nearest] <= radius
+    within = dists[np.arange(theta.shape[0]), nearest] <= radius
     fractions = np.array([
         np.mean(within & (nearest == k)) for k in range(centers.shape[0])])
     return fractions, float(1.0 - fractions.sum())
 
 
-def test_log_likelihood(e: Ensemble, dataset: bnn.Dataset,
+def test_log_likelihood(theta: Array, dataset: bnn.Dataset,
                         hidden: int = bnn.HIDDEN_DEFAULT) -> float:
-    """Predictive test log-likelihood of the ensemble's theta block."""
-    return bnn.predictive_log_likelihood(e.theta(), dataset, hidden)
+    """Predictive test log-likelihood of the (N, P) network weights
+    ``theta``."""
+    return bnn.predictive_log_likelihood(theta, dataset, hidden)
 
 
 def tri_crescent_mode_centers() -> Array:

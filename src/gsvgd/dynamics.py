@@ -39,12 +39,12 @@ per-particle diagonal times ``I``, so ``(A, C)`` over an ensemble is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .targets import BlockLayout, TargetDensity
+from .targets import TargetDensity
 
 Array = np.ndarray
 
@@ -128,10 +128,11 @@ class StructuredAC:
 class DynamicsSpec:
     """A named (A, C) parametrization on the state its kind augments.
 
-    The kind fixes the blocks of the state: theta alone for LD and RLD, a
-    momentum block ``r`` for HMC and RHMC, and ``r`` plus a thermostat block
-    ``xi`` for NHT and ThirdOrder, each as wide as theta.  The spec also owns
-    the Gaussian factors of those blocks in the target (:meth:`augment`).
+    The kind fixes the blocks of the (N, D) state, in column order: theta
+    alone for LD and RLD, a momentum block ``r`` for HMC and RHMC, and ``r``
+    plus a thermostat block ``xi`` for NHT and ThirdOrder, each as wide as
+    theta.  The spec also owns the Gaussian factors of those blocks in the
+    target (:meth:`augment`).
 
     Attributes:
         kind: One of :data:`KINDS`.
@@ -142,8 +143,6 @@ class DynamicsSpec:
         mu: Thermostat precision: ``xi ~ N(xi_mean, 1/mu I)``.
         gamma: Third-order coupling strength.
         riemann: Metric configuration, required for RLD and RHMC.
-        layout: Block layout of the state, derived from ``kind`` and
-            ``d_theta``.
     """
 
     kind: str
@@ -153,7 +152,6 @@ class DynamicsSpec:
     mu: float = 1.0
     gamma: float = 1.0
     riemann: Optional[RiemannConfig] = None
-    layout: BlockLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -168,17 +166,34 @@ class DynamicsSpec:
             raise ValueError(f"{self.kind} requires a RiemannConfig")
         if self.friction < 0:
             raise ValueError("friction must be nonnegative")
-        if self.kind in KINDS_WITH_XI:
-            layout = BlockLayout.with_thermostat(self.d_theta)
-        elif self.kind in KINDS_WITH_R:
-            layout = BlockLayout.with_momentum(self.d_theta)
-        else:
-            layout = BlockLayout.theta_only(self.d_theta)
-        object.__setattr__(self, "layout", layout)
+
+    @property
+    def has_r(self) -> bool:
+        return self.kind in KINDS_WITH_R
+
+    @property
+    def has_xi(self) -> bool:
+        return self.kind in KINDS_WITH_XI
 
     @property
     def dim(self) -> int:
-        return self.layout.dim
+        return self.d_theta * (1 + self.has_r + self.has_xi)
+
+    @property
+    def theta_slice(self) -> slice:
+        return slice(0, self.d_theta)
+
+    @property
+    def r_slice(self) -> slice:
+        """Columns of the momentum block; empty when the kind has none."""
+        d = self.d_theta
+        return slice(d, 2 * d if self.has_r else d)
+
+    @property
+    def xi_slice(self) -> slice:
+        """Columns of the thermostat block; empty when the kind has none."""
+        d = self.d_theta
+        return slice(2 * d, 3 * d if self.has_xi else 2 * d)
 
     @property
     def xi_mean(self) -> float:
@@ -194,13 +209,14 @@ class DynamicsSpec:
         exact sampler, present when ``base`` has one, draws theta, then r,
         then xi.
         """
-        lo = self.layout
-        if base.dim != lo.d_theta:
+        d = self.d_theta
+        if base.dim != d:
             raise ValueError(
-                f"target dim {base.dim} does not match d_theta {lo.d_theta}")
-        if not lo.has_r:
+                f"target dim {base.dim} does not match d_theta {d}")
+        if not self.has_r:
             return base
-        t, r, xi, has_xi = lo.theta_slice, lo.r_slice, lo.xi_slice, lo.has_xi
+        t, r, xi, has_xi = (self.theta_slice, self.r_slice, self.xi_slice,
+                            self.has_xi)
         sigma2, mu, mean = self.sigma2, self.mu, self.xi_mean
 
         def logp_fn(X: Array) -> Array:
@@ -222,14 +238,14 @@ class DynamicsSpec:
         if base.exact_sampler is not None:
             def sampler(rng: np.random.Generator, n: int) -> Array:
                 blocks = [base.sample_exact(rng, n),
-                          np.sqrt(sigma2) * rng.standard_normal((n, lo.d_r))]
+                          np.sqrt(sigma2) * rng.standard_normal((n, d))]
                 if has_xi:
                     blocks.append(
-                        mean + rng.standard_normal((n, lo.d_xi)) / np.sqrt(mu))
+                        mean + rng.standard_normal((n, d)) / np.sqrt(mu))
                 return np.concatenate(blocks, axis=1)
 
         name = base.name + ("+r+xi" if has_xi else "+r")
-        return TargetDensity(lo.dim, logp_fn, grad_fn, sampler, name)
+        return TargetDensity(self.dim, logp_fn, grad_fn, sampler, name)
 
     def _check_states(self, X: Array) -> Array:
         X = np.asarray(X, dtype=float)
@@ -240,8 +256,7 @@ class DynamicsSpec:
     def _structure(self, X: Array) -> tuple[StructuredAC, Array | None]:
         """``(A, C)`` at each row plus the divergence of ``A + C`` (None
         where it vanishes); the metric is evaluated at most once."""
-        lo = self.layout
-        t, r, xi = lo.theta_slice, lo.r_slice, lo.xi_slice
+        t, r, xi = self.theta_slice, self.r_slice, self.xi_slice
         if self.kind == "LD":
             return StructuredAC(1.0), None
         if self.kind in RIEMANN_KINDS:
@@ -255,7 +270,7 @@ class DynamicsSpec:
             div = np.zeros_like(X)
             div[:, r] = ds / (2.0 * root[:, None])
             return StructuredAC(a, ((root[:, None], t, r),)), div
-        a = np.zeros(lo.dim)
+        a = np.zeros(self.dim)
         if self.kind == "ThirdOrder":
             a[xi] = self.friction
             return StructuredAC(a, ((1.0, t, r), (self.gamma, r, xi))), None

@@ -1,11 +1,13 @@
 """Time discretization: forward Euler and a leapfrog-style symmetric split.
 
-The split step advances momentum by a half step, positions by a full step at
-the updated momenta, then momentum by another half step, re-evaluating the
-velocity field at each sub-state.  The kernel bandwidth is resolved once per
-outer step so the three sub-steps see a consistent kernel.  Thermostat (xi)
-coordinates, when present, are grouped with the momentum half-steps, which
-preserves the symmetric structure.
+Both steps take the (N, D) state and a velocity field ``field(X) -> (N, D)``
+and return the new state.  The split step advances momentum by a half step,
+positions by a full step at the updated momenta, then momentum by another
+half step, re-evaluating the field at each sub-state.  The caller fixes the
+kernel bandwidth inside ``field`` once per outer step, so the three sub-steps
+see a consistent kernel.  Thermostat (xi) coordinates, when present, are
+grouped with the momentum half-steps, which preserves the symmetric
+structure.
 """
 
 from __future__ import annotations
@@ -15,62 +17,47 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import DynamicsSpec
-from .kernels import KernelConfig
-from .sampler import Ensemble, check_finite, gsvgd_velocity
+from .sampler import check_finite
 
 Array = np.ndarray
 
 
-def euler_step(e: Ensemble, vfield_fn: Callable[[Ensemble], Array],
-               eps: float) -> Ensemble:
-    """``positions <- positions + eps * v(snapshot)``; one field evaluation."""
+def euler_step(X: Array, field: Callable[[Array], Array],
+               eps: float) -> Array:
+    """``X + eps * field(X)``; one field evaluation."""
     if eps < 0:
         raise ValueError("step size must be nonnegative")
-    return e.with_positions(check_finite(e.positions + eps * vfield_fn(e),
-                                         "particle position"))
+    return check_finite(X + eps * field(X), "particle position")
 
 
-def symmetric_split_step(e: Ensemble, target, spec: DynamicsSpec,
-                         kernel: KernelConfig | None = None,
-                         eps: float = 0.0,
-                         field_fn: Callable[[Ensemble, float], Array] | None = None,
-                         h: float | None = None) -> Ensemble:
-    """One half/full/half split step of a block-structured velocity field.
+def symmetric_split_step(X: Array, field: Callable[[Array], Array],
+                         eps: float, spec: DynamicsSpec) -> Array:
+    """One half/full/half split step over the blocks of ``spec``.
 
-    ``field_fn(ensemble, h)`` must return the full (N, D) velocity field;
-    each sub-step applies only its block (r and xi for the half steps, theta
-    for the middle step).  Defaults to the Stein-operator field.  The two
-    intermediate sub-states are not re-validated: a non-finite value there
-    surfaces as the next field's drift check or as the step's one position
-    check.  For a single particle with Hamiltonian dynamics and zero
-    friction this is exactly classic leapfrog.
+    ``field`` must return the full (N, D) velocity; each sub-step applies
+    only its block (r and xi for the half steps, theta for the middle step).
+    ``X`` is left unchanged, and each sub-state the field sees is its own
+    snapshot.  The two intermediate sub-states are not re-validated: a
+    non-finite value there surfaces as the next field's drift check or as
+    the step's one position check.  For a single particle with Hamiltonian
+    dynamics and zero friction this is exactly classic leapfrog.
     """
     if eps < 0:
         raise ValueError("step size must be nonnegative")
-    lo = e.layout
-    if not lo.has_r:
+    if not spec.has_r:
         raise ValueError("split integrator requires a momentum block")
-    if h is None:
-        if kernel is None:
-            raise ValueError(
-                "either a kernel config or an explicit bandwidth is required")
-        h = kernel.bandwidth(e.positions)
+    aux = [spec.r_slice]
+    if spec.has_xi:
+        aux.append(spec.xi_slice)
+    theta = spec.theta_slice
 
-    if field_fn is None:
-        def field_fn(ens: Ensemble, hh: float):
-            return gsvgd_velocity(ens, target, spec, h=hh)
-
-    aux = [lo.r_slice]
-    if lo.has_xi:
-        aux.append(lo.xi_slice)
-
-    x = e.positions.copy()
-    v = field_fn(e, h)
+    x = X.copy()
+    v = field(X)
     for s in aux:
         x[:, s] += 0.5 * eps * v[:, s]
-    v = field_fn(e.with_positions(x.copy()), h)
-    x[:, lo.theta_slice] += eps * v[:, lo.theta_slice]
-    v = field_fn(e.with_positions(x.copy()), h)
+    v = field(x.copy())
+    x[:, theta] += eps * v[:, theta]
+    v = field(x.copy())
     for s in aux:
         x[:, s] += 0.5 * eps * v[:, s]
-    return e.with_positions(check_finite(x, "particle position"))
+    return check_finite(x, "particle position")

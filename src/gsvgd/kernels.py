@@ -24,10 +24,9 @@ def median_bandwidth(positions, h_min: float = 1e-6) -> float:
     ``k = m // 2`` places the middle value at k (for even m, the lower one is
     the maximum below k).  Only these are square-rooted, and their mean
     equals ``np.median(pdist(X))`` bit for bit.  A one-particle set returns
-    the clamp of 1.0.  Accepts a finite (N, D) array or a ``positions`` holder.
+    the clamp of 1.0.
     """
-    positions = np.asarray(getattr(positions, "positions", positions),
-                           dtype=float)
+    positions = np.asarray(positions, dtype=float)
     if (positions.ndim != 2 or positions.shape[0] < 1
             or not np.all(np.isfinite(positions))):
         raise ValueError("positions must be a finite, nonempty (N, D) array")

@@ -1,10 +1,13 @@
 """Particle velocity fields and stochastic baselines.
 
-The deterministic fields all share one structure: evaluate per-particle
-quantities (drift, (A, C) coefficients, kernel) from an immutable snapshot
-of the ensemble, then combine them.  Velocities are therefore a pure
-function of the snapshot; applying them is a separate phase, and evaluation
-may be parallelized across the outer particle index.
+The ensemble is an (N, D) state array; its :class:`DynamicsSpec` defines
+the column blocks (theta, then the momentum and thermostat blocks its kind
+adds).  The deterministic fields all share one structure: evaluate
+per-particle quantities (drift, (A, C) coefficients, kernel) from a snapshot
+of the state, then combine them.  Velocities are therefore a pure function
+of the snapshot; applying them is a separate phase, and evaluation may be
+parallelized across the outer particle index.  Fields take the kernel
+bandwidth ``h`` explicitly; the caller resolves it once per outer step.
 
 The main field applies the diffusion Stein operator of the (A, C) dynamics
 to the kernel and averages it over the empirical measure:
@@ -18,14 +21,11 @@ than being clipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import DynamicsSpec, StructuredAC
 from .errors import NumericalError
-from .kernels import KernelConfig, gram
-from .targets import BlockLayout
+from .kernels import gram
 
 Array = np.ndarray
 
@@ -33,62 +33,7 @@ Array = np.ndarray
 _MAX_PAIR_BLOCK = 1 << 22
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """N particle positions plus the block layout of their coordinates.
-
-    The constructor copies and validates its input; :meth:`with_positions`
-    is the unchecked path for positions a step has computed and checked.
-    """
-
-    positions: Array
-    layout: BlockLayout
-
-    def __post_init__(self):
-        pos = np.array(self.positions, dtype=float, copy=True)
-        if pos.ndim != 2 or pos.shape[0] < 1:
-            raise ValueError("positions must be a nonempty (N, D) array")
-        if pos.shape[1] != self.layout.dim:
-            raise ValueError(
-                f"positions dim {pos.shape[1]} does not match layout dim "
-                f"{self.layout.dim}")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
-    def theta(self) -> Array:
-        return self.positions[:, self.layout.theta_slice]
-
-    def r(self) -> Array:
-        return self.positions[:, self.layout.r_slice]
-
-    def xi(self) -> Array:
-        return self.positions[:, self.layout.xi_slice]
-
-    def with_positions(self, positions: Array) -> "Ensemble":
-        """This layout over new (N, D) positions, taken as they are: no copy
-        and no check."""
-        new = object.__new__(Ensemble)
-        object.__setattr__(new, "positions", positions)
-        object.__setattr__(new, "layout", self.layout)
-        return new
-
-
-def _resolve_bandwidth(e: Ensemble, kernel: KernelConfig | None,
-                       h: float | None) -> float:
-    if h is None:
-        if kernel is None:
-            raise ValueError(
-                "either a kernel config or an explicit bandwidth is required")
-        h = kernel.bandwidth(e.positions)
+def _check_bandwidth(h: float) -> float:
     if not np.isfinite(h):
         raise NumericalError("non-finite kernel bandwidth")
     if h <= 0:
@@ -141,38 +86,32 @@ def _stein_velocity(X: Array, F: Array, ac: StructuredAC, h: float) -> Array:
     return out
 
 
-def gsvgd_velocity(e: Ensemble, target, spec: DynamicsSpec,
-                   kernel: KernelConfig | None = None,
-                   h: float | None = None) -> Array:
+def gsvgd_velocity(X: Array, target, spec: DynamicsSpec, h: float) -> Array:
     """Stein-operator velocity field of the (A, C) dynamics.
 
     Equals the classic kernelized score update when (A, C) = (I, 0); the
     general form weights the stationary drift by the kernel and applies
     (A + C) to the kernel gradient (repulsion).
     """
-    h = _resolve_bandwidth(e, kernel, h)
-    X = e.positions
+    h = _check_bandwidth(h)
     F, ac = spec.drift_many(X, target)
     return _stein_velocity(X, check_finite(F, "drift"), ac, h)
 
 
-def gsvgd_velocity_alt(e: Ensemble, target, spec: DynamicsSpec,
-                       kernel: KernelConfig | None = None,
-                       h: float | None = None) -> Array:
+def gsvgd_velocity_alt(X: Array, target, spec: DynamicsSpec,
+                       h: float) -> Array:
     """Alternative field: same drift term, repulsion through A only.
 
     Drops C from the kernel-gradient term.  The two fields induce the same
     density evolution, but this one keeps rotating at equilibrium instead of
     vanishing, so it is a diagnostic/baseline variant, not the default.
     """
-    h = _resolve_bandwidth(e, kernel, h)
-    X = e.positions
+    h = _check_bandwidth(h)
     F, ac = spec.drift_many(X, target)
     return _stein_velocity(X, check_finite(F, "drift"), StructuredAC(ac.a), h)
 
 
-def blob_grad_log_density(e: Ensemble, kernel: KernelConfig | None = None,
-                          h: float | None = None) -> Array:
+def blob_grad_log_density(X: Array, h: float) -> Array:
     """Kernel-density estimate of the ensemble's score ``grad log rho``.
 
     Two-term form (the first variation of the KDE-smoothed KL):
@@ -183,8 +122,7 @@ def blob_grad_log_density(e: Ensemble, kernel: KernelConfig | None = None,
     Denominators are at least ``k(x_i, x_i) = 1``, so no guard is needed.
     For a single particle the estimate is exactly zero.
     """
-    h = _resolve_bandwidth(e, kernel, h)
-    X = e.positions
+    h = _check_bandwidth(h)
     K = gram(X, X, h)
     row_sum = K.sum(axis=1)                     # (N,)
     # sum_j grad1_k(x_i, x_j) = -(2/h) (x_i * rowsum_i - K @ X)
@@ -195,23 +133,21 @@ def blob_grad_log_density(e: Ensemble, kernel: KernelConfig | None = None,
     return term1 + term2
 
 
-def parvi_blob_velocity(e: Ensemble, target, spec: DynamicsSpec,
-                        kernel: KernelConfig | None = None,
-                        h: float | None = None) -> Array:
+def parvi_blob_velocity(X: Array, target, spec: DynamicsSpec,
+                        h: float) -> Array:
     """Blob-smoothed transport field ``(A+C)(grad_logp - g) + div(A+C)``.
 
     ``g`` is the kernel-density score estimate above.  The field is the
     stationary drift minus ``(A+C)`` applied to the score estimate, so the
     divergence of state-dependent kinds is kept.
     """
-    h = _resolve_bandwidth(e, kernel, h)
-    ghat = blob_grad_log_density(e, h=h)
-    F, ac = spec.drift_many(e.positions, target)
+    ghat = blob_grad_log_density(X, h)
+    F, ac = spec.drift_many(X, target)
     return check_finite(F, "drift") - ac.apply(ghat)
 
 
-def mcmc_step(e: Ensemble, target, spec: DynamicsSpec, eps: float,
-              rng: np.random.Generator) -> Ensemble:
+def mcmc_step(X: Array, target, spec: DynamicsSpec, eps: float,
+              rng: np.random.Generator) -> Array:
     """One Euler-Maruyama step of the stochastic dynamics, per particle.
 
     ``x <- x + eps f(x) + sqrt(2 eps) A(x)^(1/2) xi`` with independent
@@ -220,24 +156,24 @@ def mcmc_step(e: Ensemble, target, spec: DynamicsSpec, eps: float,
     """
     if eps < 0:
         raise ValueError("step size must be nonnegative")
-    X = e.positions
     F, ac = spec.drift_many(X, target)
     F = check_finite(F, "drift")
     noise = rng.standard_normal(X.shape)
     scale = np.sqrt(ac.a)
     new = X + eps * F + np.sqrt(2.0 * eps) * scale * noise
-    return e.with_positions(check_finite(new, "particle position"))
+    return check_finite(new, "particle position")
 
 
-def resample_momentum(e: Ensemble, spec: DynamicsSpec,
-                      rng: np.random.Generator) -> Ensemble:
-    """Redraw every particle's r block i.i.d. from N(0, spec.sigma2 I).
+def resample_momentum(X: Array, spec: DynamicsSpec,
+                      rng: np.random.Generator) -> Array:
+    """A copy of ``X`` with every particle's r block redrawn i.i.d. from
+    N(0, spec.sigma2 I).
 
     Theta and xi blocks are carried over bit for bit.
     """
-    if not e.layout.has_r:
-        raise ValueError("ensemble layout has no momentum block")
-    new = e.positions.copy()
-    new[:, e.layout.r_slice] = np.sqrt(spec.sigma2) * rng.standard_normal(
-        (e.n, e.layout.d_r))
-    return e.with_positions(new)
+    if not spec.has_r:
+        raise ValueError(f"dynamics kind '{spec.kind}' has no momentum block")
+    new = X.copy()
+    new[:, spec.r_slice] = np.sqrt(spec.sigma2) * rng.standard_normal(
+        (X.shape[0], spec.d_theta))
+    return new

@@ -4,10 +4,10 @@ All targets drop additive normalization constants (``logp`` of a standard
 Gaussian at the origin is 0, not ``-D/2 log 2pi``).  Diagnostics therefore
 never compare absolute ``logp`` values across different targets.
 
-A :class:`BlockLayout` carves a stacked state into ``theta``, momentum
-``r`` and thermostat ``xi`` blocks; the dynamics derives it from its kind
-and builds the product target on that state.  Evaluators are pure and
-stateless after construction, so they are safe to call concurrently.
+The dynamics (:class:`gsvgd.dynamics.DynamicsSpec`) decides which momentum
+``r`` and thermostat ``xi`` blocks follow ``theta`` in the state, and builds
+the product target on that state.  Evaluators are pure and stateless after
+construction, so they are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -19,86 +19,6 @@ import numpy as np
 
 Array = np.ndarray
 
-
-# ---------------------------------------------------------------------------
-# Block layout
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Half-open index ranges carving a state vector into theta / r / xi.
-
-    The blocks are contiguous, ordered theta then r then xi, and cover
-    ``[0, dim)``.  The r and xi ranges may be empty.
-    """
-
-    theta_range: tuple[int, int]
-    r_range: tuple[int, int]
-    xi_range: tuple[int, int]
-
-    def __post_init__(self):
-        t0, t1 = self.theta_range
-        r0, r1 = self.r_range
-        x0, x1 = self.xi_range
-        if t0 != 0 or t1 <= t0:
-            raise ValueError("theta block must start at 0 and be nonempty")
-        if r0 != t1 or r1 < r0:
-            raise ValueError("r block must start where theta ends")
-        if x0 != r1 or x1 < x0:
-            raise ValueError("xi block must start where r ends")
-
-    @classmethod
-    def theta_only(cls, d_theta: int) -> "BlockLayout":
-        return cls((0, d_theta), (d_theta, d_theta), (d_theta, d_theta))
-
-    @classmethod
-    def with_momentum(cls, d_theta: int) -> "BlockLayout":
-        return cls((0, d_theta), (d_theta, 2 * d_theta), (2 * d_theta, 2 * d_theta))
-
-    @classmethod
-    def with_thermostat(cls, d_theta: int) -> "BlockLayout":
-        return cls((0, d_theta), (d_theta, 2 * d_theta), (2 * d_theta, 3 * d_theta))
-
-    @property
-    def dim(self) -> int:
-        return self.xi_range[1]
-
-    @property
-    def d_theta(self) -> int:
-        return self.theta_range[1] - self.theta_range[0]
-
-    @property
-    def d_r(self) -> int:
-        return self.r_range[1] - self.r_range[0]
-
-    @property
-    def d_xi(self) -> int:
-        return self.xi_range[1] - self.xi_range[0]
-
-    @property
-    def has_r(self) -> bool:
-        return self.d_r > 0
-
-    @property
-    def has_xi(self) -> bool:
-        return self.d_xi > 0
-
-    @property
-    def theta_slice(self) -> slice:
-        return slice(*self.theta_range)
-
-    @property
-    def r_slice(self) -> slice:
-        return slice(*self.r_range)
-
-    @property
-    def xi_slice(self) -> slice:
-        return slice(*self.xi_range)
-
-
-# ---------------------------------------------------------------------------
-# Target densities
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TargetDensity:

@@ -36,10 +36,9 @@ def test_criterion_01_svgd_reduction():
         d = int(rng.integers(1, 5))
         target = g.standard_gaussian(d)
         spec = g.DynamicsSpec("LD", d)
-        layout = spec.layout
         x = rng.standard_normal((n, d))
         h = float(rng.uniform(0.5, 3.0))
-        v = g.gsvgd_velocity(g.Ensemble(x, layout), target, spec, h=h)
+        v = g.gsvgd_velocity(x, target, spec, h)
         worst = max(worst, float(np.max(np.abs(v - svgd_reference(
             x, target.grad_logp, h)))))
     assert worst <= 1e-12
@@ -54,7 +53,6 @@ def test_criterion_02_stein_identity():
     base = g.standard_gaussian(1)
     spec = g.DynamicsSpec("HMC", 1, sigma2=1.0, friction=1.0)
     aug = spec.augment(base)
-    layout = spec.layout
     h = 1.0
 
     for c in (0.0, 1.0, -2.0):
@@ -149,20 +147,19 @@ def test_criterion_05_gaussian_convergence():
     sigma2, friction, eps, iters = 0.01, 0.2, 0.04, 5000
     spec = g.DynamicsSpec("HMC", 2, sigma2=sigma2, friction=friction)
     aug = spec.augment(base)
-    layout = spec.layout
     kernel = g.KernelConfig("median")
 
     rng = np.random.default_rng(505)
-    e = g.Ensemble(np.hstack([0.1 * rng.standard_normal((100, 2)),
-                              np.sqrt(sigma2) * rng.standard_normal((100, 2))]),
-                   layout)
+    x = np.hstack([0.1 * rng.standard_normal((100, 2)),
+                   np.sqrt(sigma2) * rng.standard_normal((100, 2))])
     ref = base.sample_exact(np.random.default_rng(1505), 1000)
-    ed0 = energy_distance(e.theta(), ref)
+    ed0 = energy_distance(x[:, spec.theta_slice], ref)
     for _ in range(iters):
-        h = kernel.bandwidth(e.positions)
-        e = g.symmetric_split_step(e, aug, spec, eps=eps, h=h)
+        h = kernel.bandwidth(x)
+        x = g.symmetric_split_step(
+            x, lambda y: g.gsvgd_velocity(y, aug, spec, h), eps, spec)
 
-    theta = e.theta()
+    theta = x[:, spec.theta_slice]
     mean_err = np.abs(theta.mean(axis=0) - mean)
     cov_err = np.linalg.norm(np.cov(theta.T, bias=True) - cov)
     # Covariance error is measured relative to the target's Frobenius norm
@@ -185,21 +182,23 @@ def test_criterion_05_gaussian_convergence():
 def test_criterion_06_leapfrog_degeneracy():
     spec = g.DynamicsSpec("HMC", 1, sigma2=1.0, friction=0.0)
     target = spec.augment(g.standard_gaussian(1))
-    layout = spec.layout
+
+    def field(x):
+        return g.gsvgd_velocity(x, target, spec, 1.0)
 
     def max_energy_error(eps, steps, check_leapfrog=False):
-        e = g.Ensemble(np.array([[1.0, 0.0]]), layout)
+        x = np.array([[1.0, 0.0]])
         theta, r = 1.0, 0.0
         worst_energy = 0.0
         for _ in range(steps):
-            e = g.symmetric_split_step(e, target, spec, eps=eps, h=1.0)
+            x = g.symmetric_split_step(x, field, eps, spec)
             if check_leapfrog:
                 r_half = r - 0.5 * eps * theta
                 theta = theta + eps * r_half
                 r = r_half - 0.5 * eps * theta
-                assert abs(e.positions[0, 0] - theta) <= 1e-12
-                assert abs(e.positions[0, 1] - r) <= 1e-12
-            energy = 0.5 * float(np.sum(e.positions ** 2))
+                assert abs(x[0, 0] - theta) <= 1e-12
+                assert abs(x[0, 1] - r) <= 1e-12
+            energy = 0.5 * float(np.sum(x ** 2))
             worst_energy = max(worst_energy, abs(energy - 0.5))
         return worst_energy
 
@@ -235,11 +234,10 @@ def test_criterion_07_mode_exploration():
     kernel = g.KernelConfig("median")
     centers = tri_crescent_mode_centers()
     radius = 1.2
-    layout2 = g.BlockLayout.theta_only(2)
     budget, n_particles = 20_000, 200
 
     def occupancy(theta):
-        return mode_occupancy(g.Ensemble(theta, layout2), centers, radius)[0]
+        return mode_occupancy(theta, centers, radius)[0]
 
     def rhmc_best_joint_occupancy(seed):
         sigma2 = 4.0
@@ -247,30 +245,29 @@ def test_criterion_07_mode_exploration():
                               riemann=g.RiemannConfig(base, 1.5, 0.5))
         aug = spec.augment(base)
         rng = np.random.default_rng(seed)
-        e = g.Ensemble(
-            np.hstack([0.1 * rng.standard_normal((n_particles, 2)),
-                       np.sqrt(sigma2) * rng.standard_normal((n_particles, 2))]),
-            spec.layout)
+        x = np.hstack([0.1 * rng.standard_normal((n_particles, 2)),
+                       np.sqrt(sigma2) * rng.standard_normal((n_particles, 2))])
         best = -1.0
         for it in range(1, budget + 1):
-            h = kernel.bandwidth(e.positions)
-            e = g.euler_step(
-                e, lambda ens: g.gsvgd_velocity(ens, aug, spec, h=h), 0.05)
+            h = kernel.bandwidth(x)
+            x = g.euler_step(
+                x, lambda y: g.gsvgd_velocity(y, aug, spec, h), 0.05)
             if it % 50 == 0:
-                best = max(best, float(occupancy(e.theta()).min()))
+                best = max(best, float(
+                    occupancy(x[:, spec.theta_slice]).min()))
         return best
 
     def svgd_stays_in_one_mode(seed):
         spec = g.DynamicsSpec("LD", 2)
         rng = np.random.default_rng(seed)
-        e = g.Ensemble(0.1 * rng.standard_normal((n_particles, 2)), layout2)
+        x = 0.1 * rng.standard_normal((n_particles, 2))
         max_tips, occ = 0.0, None
         for it in range(1, budget + 1):
-            h = kernel.bandwidth(e.positions)
-            e = g.euler_step(
-                e, lambda ens: g.gsvgd_velocity(ens, base, spec, h=h), 5e-4)
+            h = kernel.bandwidth(x)
+            x = g.euler_step(
+                x, lambda y: g.gsvgd_velocity(y, base, spec, h), 5e-4)
             if it % 100 == 0:
-                occ = occupancy(e.positions)
+                occ = occupancy(x)
                 max_tips = max(max_tips, occ[0], occ[1])
         one_mode = occ[2] >= 0.05 and max_tips < 0.01
         return one_mode, max_tips, occ
@@ -309,47 +306,47 @@ def test_criterion_08_bnn_directional():
         y = np.sin(3.0 * x[:, 0]) + 0.1 * rng.standard_normal(220)
         return bnn_mod.make_dataset(x, y, seed=seed, test_frac=20 / 220)
 
-    def test_ll(e, ds):
-        return bnn_mod.predictive_log_likelihood(e.theta(), ds, hidden)
+    def test_ll(x, spec, ds):
+        return bnn_mod.predictive_log_likelihood(x[:, spec.theta_slice], ds,
+                                                 hidden)
 
     def run_sghmc_stein(ds, seed, eps=0.01, sigma2=1.0):
         post = bnn_mod.BNNPosterior(ds, hidden=hidden)
         spec = g.DynamicsSpec("HMC", post.dim, sigma2=sigma2, friction=1.0)
-        layout = spec.layout
         kernel = g.KernelConfig("median")
         rng = np.random.default_rng(seed)
         theta0 = np.stack([bnn_mod.init_params(rng, 1, hidden)
                            for _ in range(n_particles)])
         r0 = np.sqrt(sigma2) * rng.standard_normal((n_particles, post.dim))
-        e = g.Ensemble(np.hstack([theta0, r0]), layout)
+        x = np.hstack([theta0, r0])
         sched = bnn_mod.MinibatchSchedule(ds.n_train, batch,
                                           np.random.default_rng(seed + 99))
         first = None
         for it in range(1, iters + 1):
             target = spec.augment(post.as_target(sched.next()))
-            h = kernel.bandwidth(e.positions)
-            e = g.symmetric_split_step(e, target, spec, eps=eps, h=h)
+            h = kernel.bandwidth(x)
+            x = g.symmetric_split_step(
+                x, lambda y: g.gsvgd_velocity(y, target, spec, h), eps, spec)
             if it == 1:
-                first = test_ll(e, ds)
-        return first, test_ll(e, ds)
+                first = test_ll(x, spec, ds)
+        return first, test_ll(x, spec, ds)
 
     def run_langevin(ds, seed, eps=1e-4):
         post = bnn_mod.BNNPosterior(ds, hidden=hidden)
         spec = g.DynamicsSpec("LD", post.dim)
-        layout = spec.layout
         rng = np.random.default_rng(seed)
-        e = g.Ensemble(np.stack([bnn_mod.init_params(rng, 1, hidden)
-                                 for _ in range(n_particles)]), layout)
+        x = np.stack([bnn_mod.init_params(rng, 1, hidden)
+                      for _ in range(n_particles)])
         sched = bnn_mod.MinibatchSchedule(ds.n_train, batch,
                                           np.random.default_rng(seed + 99))
         noise = np.random.default_rng(seed + 7)
         first = None
         for it in range(1, iters + 1):
             target = post.as_target(sched.next())
-            e = g.mcmc_step(e, target, spec, eps, noise)
+            x = g.mcmc_step(x, target, spec, eps, noise)
             if it == 1:
-                first = test_ll(e, ds)
-        return first, test_ll(e, ds)
+                first = test_ll(x, spec, ds)
+        return first, test_ll(x, spec, ds)
 
     stein_lls, langevin_lls = [], []
     for seed in range(5):
@@ -374,12 +371,11 @@ def test_criterion_09_alternative_field_nonvanishing():
     base = g.standard_gaussian(1)
     spec = g.DynamicsSpec("HMC", 1, sigma2=1.0, friction=1.0)
     aug = spec.augment(base)
-    layout = spec.layout
     rng = np.random.default_rng(909)
 
     def mean_sq(m, field):
-        e = g.Ensemble(aug.sample_exact(rng, m), layout)
-        return float(np.mean(field(e, aug, spec, h=1.0) ** 2))
+        x = aug.sample_exact(rng, m)
+        return float(np.mean(field(x, aug, spec, 1.0) ** 2))
 
     small = mean_sq(1000, g.gsvgd_velocity)
     main = mean_sq(10_000, g.gsvgd_velocity)

@@ -269,6 +269,18 @@ class TestBnnRun:
         header = (tmp_path / "o" / "trace.csv").read_text().splitlines()[0]
         assert header == "iter,test_ll"
 
+    def test_rejects_unknown_target_params(self, tmp_path, csv_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(minimal_config(
+            target="bnn", target_params={"whatever": 1},
+            run={"iters": 1, "n_particles": 2}, bnn={"hidden": 2},
+            data={"path": str(csv_path)}, output_dir=str(out)))
+        assert main(["run", "--config", str(path)]) == 2
+        assert not out.exists()
+        assert "config error: target_params: unknown keys ['whatever']" in \
+            capsys.readouterr().err
+
     def test_minibatch_hmc_reruns_are_byte_identical(self, tmp_path,
                                                      csv_path):
         cfg = parse_config(json.dumps({
@@ -335,10 +347,25 @@ class TestMain:
          "target_params.means"),
         ({"target": "gauss_mix", "target_params": {"weights": ["1", "1"]}},
          "target_params.weights"),
+        # JSON parsing accepts NaN, the infinities, overflowing literals
+        # such as 1e400 (read as Infinity) and integers beyond the float
+        # range; numbers must be finite.
+        ({"init": {"theta_var": float("inf")}}, "init.theta_var"),
+        ({"run": {"eps": float("nan")}}, "run.eps"),
+        ({"kernel": {"mode": "fixed", "h": float("nan")}}, "kernel.h"),
+        ({"kernel": {"h_min": float("inf")}}, "kernel.h_min"),
+        ({"dynamics": {"c_offset": float("-inf")}}, "dynamics.c_offset"),
+        ({"dynamics": {"gamma": 10 ** 400}}, "dynamics.gamma"),
+        ({"target_params": {"mean": [float("nan"), 0.0]}},
+         "target_params.mean"),
+        ({"diagnostics": {"mode_centers": [[0.0, float("inf")]]}},
+         "diagnostics.mode_centers"),
     ], ids=["dim_not_a_number", "dim_zero", "dim_fractional", "dim_bool",
             "cov_not_spd", "negative_weights", "centers_wrong_dim",
             "dim_mean_mismatch", "mean_not_numbers", "cov_not_numbers",
-            "var_string", "var_bool", "means_bool", "weights_string"])
+            "var_string", "var_bool", "means_bool", "weights_string",
+            "theta_var_inf", "eps_nan", "h_nan", "h_min_inf",
+            "c_offset_neg_inf", "gamma_huge_int", "mean_nan", "centers_inf"])
     def test_malformed_target_is_config_error(self, tmp_path, capsys,
                                               overrides, key):
         out = tmp_path / "out"
@@ -347,6 +374,22 @@ class TestMain:
         assert main(["run", "--config", str(path)]) == 2
         assert not out.exists()
         assert f"config error: {key}:" in capsys.readouterr().err
+
+    def test_malformed_seed_override_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(minimal_config(output_dir=str(out)))
+        assert main(["run", "--config", str(path), "--seed", "-1"]) == 2
+        assert not out.exists()
+        assert "config error: run.seed:" in capsys.readouterr().err
+
+    def test_malformed_encoding_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"target": "gauss", "output_dir": "\xff"}')
+        assert main(["run", "--config", str(path)]) == 2
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "config error: config: not valid UTF-8" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_nonfinite_dataset_cell_is_config_error(self, tmp_path, capsys,

@@ -5,8 +5,7 @@ from gsvgd.bnn import BNNPosterior, init_params, make_dataset
 from gsvgd.diagnostics import (TraceWriter, energy_distance, mode_occupancy,
                                tri_crescent_mode_centers, write_snapshot)
 from gsvgd.diagnostics import test_log_likelihood as ensemble_test_ll
-from gsvgd.sampler import Ensemble
-from gsvgd.targets import BlockLayout
+from gsvgd.dynamics import DynamicsSpec
 
 
 def brute_force_energy(X, Y):
@@ -56,41 +55,43 @@ class TestEnergyDistance:
 
 class TestModeOccupancy:
     def test_all_at_first_center(self):
-        e = Ensemble(np.zeros((10, 2)), BlockLayout.theta_only(2))
+        x = np.zeros((10, 2))
         centers = [[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]
-        fractions, unassigned = mode_occupancy(e, centers, 1.0)
+        fractions, unassigned = mode_occupancy(x, centers, 1.0)
         np.testing.assert_array_equal(fractions, [1.0, 0.0, 0.0])
         assert unassigned == 0.0
 
     def test_tie_goes_to_lower_index(self):
-        e = Ensemble(np.array([[0.5, 0.0]]), BlockLayout.theta_only(2))
-        fractions, _ = mode_occupancy(e, [[0.0, 0.0], [1.0, 0.0]], 1.0)
+        x = np.array([[0.5, 0.0]])
+        fractions, _ = mode_occupancy(x, [[0.0, 0.0], [1.0, 0.0]], 1.0)
         np.testing.assert_array_equal(fractions, [1.0, 0.0])
 
     def test_even_split(self):
         centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         pos = np.repeat(centers, 100, axis=0)
-        e = Ensemble(pos, BlockLayout.theta_only(2))
-        fractions, unassigned = mode_occupancy(e, centers, 1.0)
+        fractions, unassigned = mode_occupancy(pos, centers, 1.0)
         np.testing.assert_allclose(fractions, [1 / 3, 1 / 3, 1 / 3])
         assert unassigned == pytest.approx(0.0, abs=1e-12)
 
     def test_unassigned_fraction(self):
         pos = np.array([[0.0, 0.0], [50.0, 50.0]])
-        e = Ensemble(pos, BlockLayout.theta_only(2))
-        fractions, unassigned = mode_occupancy(e, [[0.0, 0.0]], 1.0)
+        fractions, unassigned = mode_occupancy(pos, [[0.0, 0.0]], 1.0)
         assert fractions[0] == 0.5 and unassigned == 0.5
 
     def test_uses_theta_block_only(self):
+        # Callers pass the theta block of the state; the whole (theta, r)
+        # state does not match the centers and is rejected.
         pos = np.array([[0.0, 0.0, 99.0, 99.0]])
-        e = Ensemble(pos, BlockLayout.with_momentum(2))
-        fractions, _ = mode_occupancy(e, [[0.0, 0.0]], 1.0)
+        theta = pos[:, DynamicsSpec("HMC", 2).theta_slice]
+        fractions, _ = mode_occupancy(theta, [[0.0, 0.0]], 1.0)
         assert fractions[0] == 1.0
+        with pytest.raises(ValueError):
+            mode_occupancy(pos, [[0.0, 0.0]], 1.0)
 
     def test_fractions_bounded(self):
         rng = np.random.default_rng(3)
-        e = Ensemble(rng.standard_normal((50, 2)) * 3, BlockLayout.theta_only(2))
-        fractions, unassigned = mode_occupancy(e, [[0.0, 0.0], [2.0, 2.0]], 1.0)
+        x = rng.standard_normal((50, 2)) * 3
+        fractions, unassigned = mode_occupancy(x, [[0.0, 0.0], [2.0, 2.0]], 1.0)
         assert np.all(fractions >= 0) and np.all(fractions <= 1)
         assert 0.0 <= fractions.sum() <= 1.0 + 1e-12
         assert unassigned == pytest.approx(1.0 - fractions.sum(), abs=1e-12)
@@ -117,9 +118,9 @@ class TestTestLogLikelihood:
         post = BNNPosterior(ds, hidden=5)
         theta = np.stack([init_params(rng, 1, 5) for _ in range(3)])
         aug = np.concatenate([theta, rng.standard_normal(theta.shape)], axis=1)
-        e = Ensemble(aug, BlockLayout.with_momentum(post.dim))
+        block = aug[:, DynamicsSpec("HMC", post.dim).theta_slice]
         from gsvgd.bnn import predictive_log_likelihood
-        assert ensemble_test_ll(e, ds, hidden=5) == \
+        assert ensemble_test_ll(block, ds, hidden=5) == \
             predictive_log_likelihood(theta, ds, hidden=5)
 
 

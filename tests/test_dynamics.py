@@ -112,8 +112,12 @@ class TestCatalog:
         ("RHMC", (3, 3, 0)), ("NHT", (3, 3, 3)), ("ThirdOrder", (3, 3, 3))])
     def test_layout_follows_kind(self, kind, widths):
         riemann = RiemannConfig(standard_gaussian(3))
-        lo = DynamicsSpec(kind, 3, riemann=riemann).layout
-        assert (lo.d_theta, lo.d_r, lo.d_xi) == widths
+        spec = DynamicsSpec(kind, 3, riemann=riemann)
+        cols = np.arange(spec.dim)
+        assert tuple(cols[s].size for s in (spec.theta_slice, spec.r_slice,
+                                            spec.xi_slice)) == widths
+        assert spec.dim == sum(widths)
+        assert (spec.has_r, spec.has_xi) == (widths[1] > 0, widths[2] > 0)
 
 
 # Thermostat means at friction 0.5: NHT centers xi at the friction,
@@ -133,37 +137,36 @@ def test_augment(kind):
     base = gaussian([1.0, -1.0], [[1.0, 0.5], [0.5, 1.0]])
     spec = spec_for(base)
     target = spec.augment(base)
-    lo = spec.layout
-    assert target.dim == lo.dim
+    assert target.dim == spec.dim
     if kind in ("LD", "RLD"):
         assert target is base
     with pytest.raises(ValueError):
         spec.augment(standard_gaussian(3))
 
-    X = np.random.default_rng(21).uniform(-2.0, 2.0, size=(7, lo.dim))
-    np.testing.assert_array_equal(target.grad_many(X)[:, lo.theta_slice],
-                                  base.grad_many(X[:, lo.theta_slice]))
-    if lo.has_r:
+    X = np.random.default_rng(21).uniform(-2.0, 2.0, size=(7, spec.dim))
+    np.testing.assert_array_equal(target.grad_many(X)[:, spec.theta_slice],
+                                  base.grad_many(X[:, spec.theta_slice]))
+    if spec.has_r:
         # r = (1, -3): -r/sigma2 = (-0.5, 1.5).  xi - xi_mean = (1, -0.5):
         # -mu (xi - xi_mean) = (-4, 2).
         x = [0.3, -0.2, 1.0, -3.0]
-        if lo.has_xi:
+        if spec.has_xi:
             x += [XI_MEAN[kind] + 1.0, XI_MEAN[kind] - 0.5]
         g = target.grad_logp(np.array(x))
-        np.testing.assert_allclose(g[lo.r_slice], [-0.5, 1.5], rtol=1e-15)
-        if lo.has_xi:
-            np.testing.assert_allclose(g[lo.xi_slice], [-4.0, 2.0],
+        np.testing.assert_allclose(g[spec.r_slice], [-0.5, 1.5], rtol=1e-15)
+        if spec.has_xi:
+            np.testing.assert_allclose(g[spec.xi_slice], [-4.0, 2.0],
                                        rtol=1e-15)
 
     S = target.sample_exact(np.random.default_rng(22), 40_000)
-    assert S.shape == (40_000, lo.dim)
-    np.testing.assert_allclose(S[:, lo.theta_slice].mean(axis=0),
+    assert S.shape == (40_000, spec.dim)
+    np.testing.assert_allclose(S[:, spec.theta_slice].mean(axis=0),
                                [1.0, -1.0], atol=0.03)
-    if lo.has_r:
-        assert np.max(np.abs(S[:, lo.r_slice].mean(axis=0))) < 0.04
-        assert np.max(np.abs(S[:, lo.r_slice].var(axis=0) - sigma2)) < 0.08
-    if lo.has_xi:
-        xi = S[:, lo.xi_slice]
+    if spec.has_r:
+        assert np.max(np.abs(S[:, spec.r_slice].mean(axis=0))) < 0.04
+        assert np.max(np.abs(S[:, spec.r_slice].var(axis=0) - sigma2)) < 0.08
+    if spec.has_xi:
+        xi = S[:, spec.xi_slice]
         assert np.max(np.abs(xi.mean(axis=0) - XI_MEAN[kind])) < 0.01
         assert np.max(np.abs(xi.var(axis=0) - 1.0 / mu)) < 0.01
 

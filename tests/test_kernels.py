@@ -62,13 +62,6 @@ class TestMedianBandwidth:
         with pytest.raises(ValueError):
             median_bandwidth(np.array([[0.0], [np.nan], [1.0]]))
 
-    def test_accepts_ensemble(self):
-        from gsvgd.sampler import Ensemble
-        from gsvgd.targets import BlockLayout
-        x = np.array([[0.0], [2.0]])
-        e = Ensemble(x, BlockLayout.theta_only(1))
-        assert median_bandwidth(e) == median_bandwidth(x)
-
 
 class TestGram:
     @pytest.mark.parametrize("na,nb,d", [(1, 1, 1), (5, 9, 3), (64, 200, 4)])

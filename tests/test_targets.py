@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gsvgd.dynamics import DynamicsSpec
-from gsvgd.targets import (BlockLayout, gaussian, gaussian_mixture,
-                           standard_gaussian, tri_crescent_target)
+from gsvgd.targets import (gaussian, gaussian_mixture, standard_gaussian,
+                           tri_crescent_target)
 
 from helpers import fd_gradient, rel_err
 
@@ -191,18 +191,16 @@ class TestAugmentation:
 
 
 class TestBlockLayout:
+    """The blocks of the state on which a spec builds its target."""
+
     def test_theta_only(self):
-        lo = BlockLayout.theta_only(3)
-        assert lo.dim == 3 and not lo.has_r and not lo.has_xi
+        spec = DynamicsSpec("LD", 3)
+        assert spec.dim == 3 and not spec.has_r and not spec.has_xi
+        assert spec.augment(standard_gaussian(3)).dim == 3
 
     def test_with_thermostat(self):
-        lo = BlockLayout.with_thermostat(2)
-        assert (lo.dim, lo.d_theta, lo.d_r, lo.d_xi) == (6, 2, 2, 2)
-
-    def test_rejects_gaps(self):
-        with pytest.raises(ValueError):
-            BlockLayout((0, 2), (3, 4), (4, 4))
-
-    def test_rejects_empty_theta(self):
-        with pytest.raises(ValueError):
-            BlockLayout((0, 0), (0, 1), (1, 1))
+        spec = DynamicsSpec("NHT", 2)
+        assert spec.dim == 6 and spec.has_r and spec.has_xi
+        assert (spec.theta_slice, spec.r_slice, spec.xi_slice) == (
+            slice(0, 2), slice(2, 4), slice(4, 6))
+        assert spec.augment(standard_gaussian(2)).dim == 6
