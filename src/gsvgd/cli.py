@@ -432,9 +432,10 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     X = np.concatenate(blocks, axis=1)
 
     # Diagnostics setup.
-    ref = None
+    ref = ref_within = None
     if cfg.energy_ref > 0 and base.exact_sampler is not None:
         ref = base.sample_exact(rng_ref, cfg.energy_ref)
+        ref_within = diagnostics.mean_distance(ref)
     columns: list[str] = []
     if ref is not None:
         columns.append("energy_dist")
@@ -447,7 +448,8 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
         theta = state[:, spec.theta_slice]
         out: dict = {}
         if ref is not None:
-            out["energy_dist"] = diagnostics.energy_distance(theta, ref)
+            out["energy_dist"] = diagnostics.energy_distance(
+                theta, ref, ref_within)
         if centers is not None:
             fractions, unassigned = diagnostics.mode_occupancy(
                 theta, centers, cfg.mode_radius)
@@ -497,8 +499,8 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
                     X = resample_momentum(X, spec, rng_resample)
             except NumericalError as err:
                 raise NumericalError(
-                    "run aborted on non-finite value", iteration=it,
-                    particle=err.particle) from err
+                    f"run aborted on non-finite value: {err.message}",
+                    iteration=it, particle=err.particle) from err
             if it in trace_iters:
                 row = metrics_of(X)
                 writer.record(it, row, snapshot=X)

@@ -13,14 +13,23 @@ from . import bnn
 Array = np.ndarray
 
 
-def energy_distance(X: Array, Y: Array) -> float:
+def mean_distance(Y: Array) -> float:
+    """Mean Euclidean distance ``E||y - y'||`` of an (m, d) sample over all
+    ordered pairs, the diagonal's zeros included (0 for a single point)."""
+    m = Y.shape[0]
+    return 2.0 * float(pdist(Y).sum()) / (m * m) if m > 1 else 0.0
+
+
+def energy_distance(X: Array, Y: Array,
+                    within_y: float | None = None) -> float:
     """Energy distance between two samples.
 
     ``2 E||x - y|| - E||x - x'|| - E||y - y'||`` with every mean taken over
     all ordered pairs (the within-set diagonal contributes zeros, so a
     single-point set's within-set term is 0).  This all-pairs form is exactly
     zero on identical multisets and never negative.  Bandwidth-free, which is
-    why it is the default quality metric here.
+    why it is the default quality metric here.  A caller comparing many
+    samples with one fixed ``Y`` passes ``within_y = mean_distance(Y)``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -28,11 +37,10 @@ def energy_distance(X: Array, Y: Array) -> float:
         raise ValueError("both samples must be nonempty")
     if X.shape[1] != Y.shape[1]:
         raise ValueError("samples must share a dimension")
-    n, m = X.shape[0], Y.shape[0]
+    if within_y is None:
+        within_y = mean_distance(Y)
     cross = float(cdist(X, Y).mean())
-    within_x = 2.0 * float(pdist(X).sum()) / (n * n) if n > 1 else 0.0
-    within_y = 2.0 * float(pdist(Y).sum()) / (m * m) if m > 1 else 0.0
-    return 2.0 * cross - within_x - within_y
+    return 2.0 * cross - mean_distance(X) - within_y
 
 
 def mode_occupancy(theta: Array, centers: Sequence[Array],

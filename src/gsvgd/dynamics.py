@@ -107,21 +107,32 @@ class StructuredAC:
     a: Array | float
     couplings: tuple[tuple[Array | float, slice, slice], ...] = ()
 
-    def combine(self, term) -> Array:
-        """Assemble ``(A + C)`` applied blockwise from ``term(c, s)``.
+    def terms(self) -> list[tuple[Array | float, tuple[slice, ...]]]:
+        """Each coefficient with the source column blocks it multiplies:
+        ``a`` on all columns, then each coupling on ``w`` and on ``u``.
+        Flattened, this is the order in which :meth:`combine` takes its
+        parts."""
+        return [(self.a, (slice(None),))] + [
+            (c, (w, u)) for c, u, w in self.couplings]
 
-        ``term(c, s)`` must return a new (N, |s|) array: coefficient ``c``
-        times the quantity ``(A + C)`` acts on, restricted to columns ``s``.
+    def combine(self, parts) -> Array:
+        """Assemble ``(A + C)`` applied blockwise from its products.
+
+        ``parts`` holds, in :meth:`terms` order, a new (N, |s|) array per
+        coefficient ``c`` and source block ``s``: ``c`` times the quantity
+        ``(A + C)`` acts on, restricted to columns ``s``.
         """
-        out = term(self.a, slice(None))
-        for c, u, w in self.couplings:
-            out[:, u] -= term(c, w)
-            out[:, w] += term(c, u)
+        parts = iter(parts)
+        out = next(parts)
+        for _, u, w in self.couplings:
+            out[:, u] -= next(parts)
+            out[:, w] += next(parts)
         return out
 
     def apply(self, V: Array) -> Array:
         """Row-wise ``(A + C) v`` for an (N, D) batch of vectors."""
-        return self.combine(lambda c, s: c * V[:, s])
+        return self.combine([c * V[:, s] for c, sources in self.terms()
+                             for s in sources])
 
 
 @dataclass(frozen=True)

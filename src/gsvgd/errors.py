@@ -22,6 +22,7 @@ class NumericalError(RuntimeError):
         if particle is not None:
             parts.append(f"particle={particle}")
         super().__init__(" ".join(parts))
+        self.message = message
         self.iteration = iteration
         self.particle = particle
 

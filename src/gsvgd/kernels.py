@@ -1,9 +1,15 @@
-"""Squared-exponential kernel: median-heuristic bandwidth and Gram matrix.
+"""Squared-exponential kernel: median-heuristic bandwidth, Gram matrix and
+the kernel-weighted sums over a particle set.
 
 Convention: ``k(x, y) = exp(-||x - y||^2 / h)`` with bandwidth
 ``h = med^2 / log N``, where ``med`` is the median of the off-diagonal
 pairwise distances of the current particle set.  The scaling constant of the
 median rule is a documented choice; step-size tuning absorbs it.
+
+Every pairwise sum the samplers need is ``K @ V`` for the set's own kernel
+matrix ``K`` and a stacked right-hand side ``V``; :func:`contract` computes
+it in cache-sized symmetric row blocks, so at most one block of the kernel
+matrix is held and each off-diagonal kernel pair is built once.
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 Array = np.ndarray
+
+# Kernel entries per row block of :func:`contract` (about 64 rows at N=2000).
+_BLOCK_ENTRIES = 1 << 17
 
 
 def median_bandwidth(positions, h_min: float = 1e-6) -> float:
@@ -45,6 +54,30 @@ def gram(Xa: Array, Xb: Array, h: float) -> Array:
     """Kernel matrix ``exp(-||Xa_i - Xb_j||^2 / h)``, built in place."""
     K = cdist(Xa, Xb, "sqeuclidean")
     return np.exp(np.divide(K, -h, out=K), out=K)
+
+
+def contract(X: Array, h: float, V: Array) -> Array:
+    """``gram(X, X, h) @ V`` for (N, D) ``X`` and (N, m) ``V``.
+
+    A set of at most one block is one ``gram`` and one matmul.  A larger set
+    is swept in row blocks ``I = [i0, i1)``: the block's kernel rows are
+    built against the trailing columns ``i0:`` only, and by symmetry
+    ``K[I, i1:]`` also gives ``K[i1:, I]``, so each off-diagonal pair is
+    built once and both of its uses read it while it is in cache.  Blocking
+    reorders the sums, so the result agrees with one ``gram`` and one matmul
+    to rounding, not bit for bit.
+    """
+    n = X.shape[0]
+    rows = max(1, _BLOCK_ENTRIES // n)
+    if n <= rows:
+        return gram(X, X, h) @ V
+    S = np.zeros((n, V.shape[1]))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        K = gram(X[i0:i1], X[i0:], h)
+        S[i0:i1] += K @ V[i0:]
+        S[i1:] += K[:, i1 - i0:].T @ V[i0:i1]
+    return S
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ to the kernel and averages it over the empirical measure:
     v_i = (1/N) sum_j [ f(x_j) k(x_i, x_j) + (A(x_j) + C(x_j)) grad2_k(x_i, x_j) ]
 
 with ``f`` the stationary drift.  The j-sum includes the self term j = i.
+Every j-sum of a field is a column of one kernel contraction
+``K @ V`` (:func:`gsvgd.kernels.contract`) against the per-particle
+quantities stacked side by side, so a field builds each kernel pair once
+(the blob score estimate, whose second sum needs the first, twice).
 Any non-finite intermediate aborts with the offending particle index rather
 than being clipped.
 """
@@ -25,12 +29,9 @@ import numpy as np
 
 from .dynamics import DynamicsSpec, StructuredAC
 from .errors import NumericalError
-from .kernels import gram
+from .kernels import contract
 
 Array = np.ndarray
-
-# Keep per-chunk kernel blocks at or below this many entries.
-_MAX_PAIR_BLOCK = 1 << 22
 
 
 def _check_bandwidth(h: float) -> float:
@@ -43,8 +44,8 @@ def _check_bandwidth(h: float) -> float:
 
 def check_finite(values: Array, what: str) -> Array:
     """Return (N, D) ``values``, or raise naming the first non-finite row."""
-    bad = ~np.all(np.isfinite(values), axis=1)
-    if np.any(bad):
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values).all(axis=1)
         raise NumericalError(f"non-finite {what}", particle=int(np.argmax(bad)))
     return values
 
@@ -52,6 +53,17 @@ def check_finite(values: Array, what: str) -> Array:
 def _per_particle(c) -> bool:
     """True for an (N, k) coefficient, False for a scalar or a row vector."""
     return getattr(c, "ndim", 0) == 2
+
+
+def _contract_blocks(X: Array, h: float, blocks: list) -> list:
+    """``K @ b`` for each (N, k) array in ``blocks``, from one contraction
+    against the blocks stacked side by side."""
+    S = contract(X, h, np.concatenate(blocks, axis=1))
+    out, at = [], 0
+    for b in blocks:
+        out.append(S[:, at:at + b.shape[1]])
+        at += b.shape[1]
+    return out
 
 
 def _stein_velocity(X: Array, F: Array, ac: StructuredAC, h: float) -> Array:
@@ -62,27 +74,30 @@ def _stein_velocity(X: Array, F: Array, ac: StructuredAC, h: float) -> Array:
     coefficient ``c`` and source columns ``s`` contributes
     ``sum_j K_ij c_j (x_i - x_j)_s``: ``c R_s`` with
     ``R_i = sum_j K_ij (x_i - x_j)`` for a constant ``c``, and
-    ``x_i (K c)_i - (K (c X_s))_i`` for a per-particle one.
+    ``x_i (K c)_i - (K (c X_s))_i`` for a per-particle one.  Every kernel
+    sum comes from one contraction ``K @ V`` with ``V = [F | X | 1]``
+    followed by ``c`` and its ``c X_s`` for each per-particle coefficient.
     """
     n = X.shape[0]
-    coefs = [ac.a] + [c for c, _, _ in ac.couplings]
-    need_r = not all(_per_particle(c) for c in coefs)
-    out = np.empty_like(X)
-    chunk = max(1, _MAX_PAIR_BLOCK // n)
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        Xc = X[i0:i1]
-        K = gram(Xc, X, h)
-        attract = K @ F
-        if need_r:
-            R = Xc * K.sum(axis=1)[:, None] - K @ X
-
-        def term(c, s):
-            if _per_particle(c):
-                return Xc[:, s] * (K @ c) - K @ (c * X[:, s])
-            return c * R[:, s]
-
-        out[i0:i1] = (attract + (2.0 / h) * ac.combine(term)) / n
+    terms = ac.terms()
+    blocks = [F, X, np.ones((n, 1))]
+    for c, sources in terms:
+        if _per_particle(c):
+            blocks += [c] + [c * X[:, s] for s in sources]
+    KF, KX, k_sum, *rest = _contract_blocks(X, h, blocks)
+    R = X * k_sum - KX
+    rest = iter(rest)
+    parts = []
+    for c, sources in terms:
+        if _per_particle(c):
+            Kc = next(rest)
+            parts += [X[:, s] * Kc - next(rest) for s in sources]
+        else:
+            parts += [c * R[:, s] for s in sources]
+    out = ac.combine(parts)
+    out *= 2.0 / h
+    out += KF
+    out /= n
     return out
 
 
@@ -123,13 +138,12 @@ def blob_grad_log_density(X: Array, h: float) -> Array:
     For a single particle the estimate is exactly zero.
     """
     h = _check_bandwidth(h)
-    K = gram(X, X, h)
-    row_sum = K.sum(axis=1)                     # (N,)
+    KX, row_sum = _contract_blocks(X, h, [X, np.ones((X.shape[0], 1))])
     # sum_j grad1_k(x_i, x_j) = -(2/h) (x_i * rowsum_i - K @ X)
-    S1 = -(2.0 / h) * (X * row_sum[:, None] - K @ X)
-    term1 = S1 / row_sum[:, None]
+    term1 = -(2.0 / h) * (X * row_sum - KX) / row_sum
     inv = 1.0 / row_sum
-    term2 = -(2.0 / h) * (X * (K @ inv)[:, None] - K @ (X * inv[:, None]))
+    K_inv, KX_inv = _contract_blocks(X, h, [inv, X * inv])
+    term2 = -(2.0 / h) * (X * K_inv - KX_inv)
     return term1 + term2
 
 

@@ -67,6 +67,31 @@ def svgd_reference(positions, grad_logp_fn, h):
     return out
 
 
+def blob_score_reference(positions, h):
+    """KDE score estimate of the blob method, direct double loops.
+
+    g_i = sum_j grad1_k(x_i, x_j) / sum_j k(x_i, x_j)
+        + sum_j grad1_k(x_i, x_j) / sum_l k(x_j, x_l),
+    with grad1_k(x, y) = -(2/h) (x - y) k(x, y).
+    """
+    positions = np.asarray(positions, dtype=float)
+    n, d = positions.shape
+
+    def k(a, b):
+        diff = a - b
+        return np.exp(-np.dot(diff, diff) / h)
+
+    row_sum = [sum(k(positions[i], positions[j]) for j in range(n))
+               for i in range(n)]
+    out = np.zeros((n, d))
+    for i in range(n):
+        for j in range(n):
+            grad1 = -(2.0 / h) * (positions[i] - positions[j]) * k(
+                positions[i], positions[j])
+            out[i] += grad1 / row_sum[i] + grad1 / row_sum[j]
+    return out
+
+
 def _metric(riemann, theta):
     """``Ginv(theta) = d_scale * max(sqrt(|U + c_offset|), floor)`` and its
     gradient (zero where the floor is active), with ``U = -logp``."""

@@ -157,6 +157,32 @@ class TestRunExperiment:
         with pytest.raises(NumericalError) as exc:
             run_experiment(cfg)
         assert exc.value.iteration is not None
+        # The inner cause is kept: the squared distances overflow in the
+        # median, so the bandwidth is what turns non-finite.
+        assert "non-finite kernel bandwidth" in str(exc.value)
+        assert f"iteration={exc.value.iteration}" in str(exc.value)
+
+    def test_reference_term_of_energy_distance_computed_once(
+            self, tmp_path, monkeypatch):
+        ref_passes, calls = [], []
+        real_pdist, real_energy = diagnostics.pdist, diagnostics.energy_distance
+
+        def pdist(Y, *a):
+            if Y.shape[0] == 200:            # the energy_ref sample size
+                ref_passes.append(1)
+            return real_pdist(Y, *a)
+
+        def energy_distance(*a):
+            calls.append([np.copy(v) for v in a])
+            return real_energy(*a)
+
+        monkeypatch.setattr(diagnostics, "pdist", pdist)
+        monkeypatch.setattr(diagnostics, "energy_distance", energy_distance)
+        run_experiment(parse_config(small_run_config(tmp_path / "o")))
+        assert len(ref_passes) == 1
+        assert len(calls) == 5
+        for theta, ref, within in calls:
+            assert real_energy(theta, ref, within) == real_energy(theta, ref)
 
     def test_final_metrics_reuse_the_last_trace_row(self, tmp_path,
                                                     monkeypatch):
@@ -413,12 +439,15 @@ class TestMain:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
 
-    def test_numerical_abort_exit_code(self, tmp_path):
+    def test_numerical_abort_exit_code(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(small_run_config(
             tmp_path / "out", run={"eps": 50.0, "iters": 100,
                                    "n_particles": 8, "seed": 0}))
         assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical abort: run aborted on non-finite value: " \
+               "non-finite kernel bandwidth iteration=" in err
 
     def test_seed_override_changes_output(self, tmp_path):
         path = tmp_path / "cfg.json"

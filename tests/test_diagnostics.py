@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gsvgd.bnn import BNNPosterior, init_params, make_dataset
-from gsvgd.diagnostics import (TraceWriter, energy_distance, mode_occupancy,
-                               tri_crescent_mode_centers, write_snapshot)
+from gsvgd.diagnostics import (TraceWriter, energy_distance, mean_distance,
+                               mode_occupancy, tri_crescent_mode_centers,
+                               write_snapshot)
 from gsvgd.diagnostics import test_log_likelihood as ensemble_test_ll
 from gsvgd.dynamics import DynamicsSpec
 
@@ -51,6 +52,15 @@ class TestEnergyDistance:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             energy_distance(np.zeros((3, 2)), np.zeros((3, 3)))
+
+    def test_precomputed_reference_term_is_bit_identical(self):
+        rng = np.random.default_rng(7)
+        y = rng.standard_normal((40, 3))
+        within = mean_distance(y)
+        for n in (1, 2, 17):
+            x = rng.standard_normal((n, 3))
+            assert energy_distance(x, y, within) == energy_distance(x, y)
+        assert mean_distance(y[:1]) == 0.0
 
 
 class TestModeOccupancy:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
-from gsvgd.kernels import KernelConfig, gram, median_bandwidth
+import gsvgd.kernels as kernels_mod
+from gsvgd.kernels import KernelConfig, contract, gram, median_bandwidth
 
 
 def median_reference(x, h_min=1e-6):
@@ -71,6 +72,31 @@ class TestGram:
         for h in (1e-3, 0.7, 3.0, 1e4):
             expected = np.exp(-cdist(xa, xb, "sqeuclidean") / h)
             np.testing.assert_array_equal(gram(xa, xb, h), expected)
+
+
+class TestContract:
+    ROWS = 8
+
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1,
+                                   3 * ROWS + 5])
+    def test_equals_dense_product(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        x, v = rng.standard_normal((n, 3)), rng.standard_normal((n, 5))
+        h = 1.7
+        expected = gram(x, x, h) @ v
+        # Blocks of ROWS rows at this n; record the rows of each gram built.
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", self.ROWS * n)
+        rows = []
+        monkeypatch.setattr(kernels_mod, "gram",
+                            lambda *a: rows.append(a[0].shape[0]) or gram(*a))
+        out = contract(x, h, v)
+        np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-13)
+        np.testing.assert_array_equal(contract(x, h, v), out)
+        # One gram per row block in each of the two calls.
+        blocks = [min(self.ROWS, n - i0) for i0 in range(0, n, self.ROWS)]
+        assert rows == 2 * blocks
+        if n <= self.ROWS:
+            np.testing.assert_array_equal(out, expected)
 
 
 class TestKernelConfig:

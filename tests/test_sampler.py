@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+import gsvgd.kernels as kernels_mod
 from gsvgd.dynamics import KINDS, DynamicsSpec
 from gsvgd.errors import NumericalError
 from gsvgd.kernels import KernelConfig, median_bandwidth
-from gsvgd.sampler import (blob_grad_log_density, gsvgd_velocity,
-                           gsvgd_velocity_alt, mcmc_step, parvi_blob_velocity,
-                           resample_momentum)
+from gsvgd.sampler import (blob_grad_log_density, check_finite,
+                           gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
+                           parvi_blob_velocity, resample_momentum)
 from gsvgd.targets import TargetDensity, standard_gaussian
 
-from helpers import dense_AC, dense_drift, make_spec, stein_term, svgd_reference
+from helpers import (blob_score_reference, dense_AC, dense_drift, make_spec,
+                     stein_term, svgd_reference)
 
 
 def ld_setup(dim):
@@ -83,27 +85,33 @@ class TestGsvgdVelocity:
             np.testing.assert_allclose(v[i], direct, rtol=1e-12, atol=1e-12)
 
     def test_chunked_evaluation_matches_single_pass(self, monkeypatch):
-        import gsvgd.sampler as sampler_mod
+        # Symmetric row blocks reorder the kernel sums, so the blocked field
+        # agrees with the single-block one and the oracle to rounding, and
+        # repeats bit for bit.
         target, spec = hmc_setup(3)
         rng = np.random.default_rng(18)
         x = rng.standard_normal((40, 6))
         full = gsvgd_velocity(x, target, spec, h=1.1)
-        monkeypatch.setattr(sampler_mod, "_MAX_PAIR_BLOCK", 7 * 40)
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 7 * 40)
         chunked = gsvgd_velocity(x, target, spec, h=1.1)
-        np.testing.assert_array_equal(chunked, full)
+        np.testing.assert_allclose(chunked, full, rtol=0, atol=1e-12)
+        ref = np.array([np.mean([stein_term(target, spec, xi, xj, 1.1)
+                                 for xj in x], axis=0) for xi in x])
+        np.testing.assert_allclose(chunked, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(
+            gsvgd_velocity(x, target, spec, h=1.1), chunked)
 
     @pytest.mark.parametrize("kind", ["LD", "NHT"])
     def test_many_chunks_match_single_chunk_and_oracles(self, kind,
                                                          monkeypatch):
-        # 64 entries per block: 2 rows of 31 per chunk, 16 chunks, the last
+        # 64 entries per block: 2 rows of 31 per block, 16 blocks, the last
         # one a single row.
-        import gsvgd.sampler as sampler_mod
         spec, target = make_spec(kind, friction=0.4, sigma2=0.8, mu=1.5)
         rng = np.random.default_rng(19)
         x = rng.uniform(-1.5, 1.5, size=(31, spec.dim))
         h = 0.8
         single = gsvgd_velocity(x, target, spec, h=h)
-        monkeypatch.setattr(sampler_mod, "_MAX_PAIR_BLOCK", 64)
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 64)
         chunked = gsvgd_velocity(x, target, spec, h=h)
         np.testing.assert_allclose(chunked, single, rtol=0, atol=1e-12)
         if kind == "LD":
@@ -154,6 +162,54 @@ class TestGsvgdVelocity:
         v = gsvgd_velocity(x, target, spec, h=1.0)
         v_perm = gsvgd_velocity(x[perm], target, spec, h=1.0)
         np.testing.assert_allclose(v_perm, v[perm], atol=1e-12)
+
+
+class TestMultiBlock:
+    """Every field at N = 3 blocks + 5 rows of the symmetric contraction."""
+
+    ROWS = 8
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fields_match_dense_oracle(self, kind, monkeypatch):
+        n = 3 * self.ROWS + 5
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", self.ROWS * n)
+        spec, target = make_spec(kind, friction=0.4, sigma2=0.8, mu=1.5)
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-1.5, 1.5, size=(n, spec.dim))
+        h = 1.2
+        for field, curl in ((gsvgd_velocity, True),
+                            (gsvgd_velocity_alt, False)):
+            v = field(x, target, spec, h=h)
+            ref = np.array([np.mean(
+                [stein_term(target, spec, xi, xj, h, curl=curl)
+                 for xj in x], axis=0) for xi in x])
+            np.testing.assert_allclose(v, ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(field(x, target, spec, h=h), v)
+        v = parvi_blob_velocity(x, target, spec, h=h)
+        ghat = blob_score_reference(x, h)
+        for i in range(n):
+            A, C = dense_AC(spec, x[i])
+            direct = dense_drift(spec, target, x[i]) - (A + C) @ ghat[i]
+            np.testing.assert_allclose(v[i], direct, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(parvi_blob_velocity(x, target, spec, h=h),
+                                      v)
+
+
+class TestCheckFinite:
+    def test_names_first_bad_row(self):
+        x = np.zeros((4, 2))
+        x[2, 1], x[3, 0] = np.nan, np.inf
+        with pytest.raises(NumericalError) as exc:
+            check_finite(x, "drift")
+        assert exc.value.particle == 2
+        assert "non-finite drift" in str(exc.value)
+
+    def test_last_row_negative_infinity(self):
+        x = np.ones((5, 3))
+        x[4, 2] = -np.inf
+        with pytest.raises(NumericalError) as exc:
+            check_finite(x, "particle position")
+        assert exc.value.particle == 4
 
 
 class TestAlternativeField:
@@ -216,6 +272,12 @@ class TestBlob:
             x = np.array([[-a], [a]])
             g = blob_grad_log_density(x, h=1.0)
             np.testing.assert_array_equal(g[0], -g[1])
+
+    def test_matches_double_loop_oracle(self):
+        x = np.random.default_rng(24).standard_normal((9, 3))
+        np.testing.assert_allclose(blob_grad_log_density(x, h=0.9),
+                                   blob_score_reference(x, 0.9),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_score_rmse_on_gaussian_sample(self):
         rng = np.random.default_rng(0)
