@@ -397,6 +397,11 @@ def _velocity_fn(method: str):
 def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     """Run one experiment; writes trace.csv, snapshots/ and summary.json.
 
+    The summary's ``status`` is ``"completed"`` for a finished run.  A run
+    that aborts on a non-finite value writes ``"status": "aborted"`` and an
+    ``abort`` record (iteration, particle or null, message) in its place,
+    then raises.
+
     Returns the summary dict.  Raises ConfigError, NumericalError (with the
     aborting iteration) or OSError.
     """
@@ -498,14 +503,24 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
                 if cfg.resample_period and it % cfg.resample_period == 0:
                     X = resample_momentum(X, spec, rng_resample)
             except NumericalError as err:
-                raise NumericalError(
-                    f"run aborted on non-finite value: {err.message}",
-                    iteration=it, particle=err.particle) from err
+                message = f"run aborted on non-finite value: {err.message}"
+                summary["status"] = "aborted"
+                summary["abort"] = {"iteration": it, "particle": err.particle,
+                                    "message": message}
+                _write_summary(out_dir, summary)
+                raise NumericalError(message, iteration=it,
+                                     particle=err.particle) from err
             if it in trace_iters:
                 row = metrics_of(X)
                 writer.record(it, row, snapshot=X)
 
+    summary["status"] = "completed"
     summary["final"] = row               # the trace row of iteration cfg.iters
+    _write_summary(out_dir, summary)
+    return summary
+
+
+def _write_summary(out_dir: str, summary: dict) -> None:
     path = os.path.join(out_dir, "summary.json")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -513,7 +528,6 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
             fh.write("\n")
     except OSError as err:
         raise OSError(f"failed to write summary {path}: {err}") from err
-    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -75,18 +75,22 @@ def _stein_velocity(X: Array, F: Array, ac: StructuredAC, h: float) -> Array:
     ``sum_j K_ij c_j (x_i - x_j)_s``: ``c R_s`` with
     ``R_i = sum_j K_ij (x_i - x_j)`` for a constant ``c``, and
     ``x_i (K c)_i - (K (c X_s))_i`` for a per-particle one.  Every kernel
-    sum comes from one contraction ``K @ V`` with ``V = [F | X | 1]``
-    followed by ``c`` and its ``c X_s`` for each per-particle coefficient.
+    sum comes from one contraction ``K @ V``: ``V`` is ``F``, then ``X``
+    and a ones column when some coefficient is constant (for ``R``), then
+    ``c`` and its ``c X_s`` for each per-particle coefficient.
     """
     n = X.shape[0]
     terms = ac.terms()
-    blocks = [F, X, np.ones((n, 1))]
+    constant = any(not _per_particle(c) for c, _ in terms)
+    blocks = [F] + ([X, np.ones((n, 1))] if constant else [])
     for c, sources in terms:
         if _per_particle(c):
             blocks += [c] + [c * X[:, s] for s in sources]
-    KF, KX, k_sum, *rest = _contract_blocks(X, h, blocks)
-    R = X * k_sum - KX
+    KF, *rest = _contract_blocks(X, h, blocks)
     rest = iter(rest)
+    if constant:
+        KX, k_sum = next(rest), next(rest)
+        R = X * k_sum - KX
     parts = []
     for c, sources in terms:
         if _per_particle(c):

@@ -6,13 +6,19 @@ never compare absolute ``logp`` values across different targets.
 
 The dynamics (:class:`gsvgd.dynamics.DynamicsSpec`) decides which momentum
 ``r`` and thermostat ``xi`` blocks follow ``theta`` in the state, and builds
-the product target on that state.  Evaluators are pure and stateless after
-construction, so they are safe to call concurrently.
+the product target on that state.
+
+The evaluators ``logp_fn`` and ``grad_fn`` are pure.  Each target remembers
+the score of its last batch: :meth:`TargetDensity.grad_many` returns a copy
+of it when called again on the same bytes, so the sub-steps of a split step
+and the Riemannian metric share one score evaluation per distinct theta
+with the drift.  The memo is one tuple replaced whole, and a hit is a copy,
+so calls are still safe concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +44,9 @@ class TargetDensity:
     grad_fn: Callable[[Array], Array]
     exact_sampler: Optional[Callable[[np.random.Generator, int], Array]] = None
     name: str = "target"
+    # ``[(key, grad)]`` of the last grad_many batch; see grad_many.
+    _memo: list = field(default_factory=lambda: [None], init=False,
+                        repr=False, compare=False)
 
     def _check_point(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -65,10 +74,22 @@ class TargetDensity:
         return self.logp_fn(X)
 
     def grad_many(self, X: Array) -> Array:
+        """``grad_fn(X)``, or a copy of the last result for the same input.
+
+        The memo is keyed on the exact bytes of the validated batch, so a
+        hit is bit-identical to a fresh evaluation (``-0.0`` against ``0.0``
+        or another NaN payload recomputes).
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"batch has shape {X.shape}, expected (N, {self.dim})")
-        return self.grad_fn(X)
+        key = X.tobytes()
+        last = self._memo[0]
+        if last is not None and last[0] == key:
+            return last[1].copy()
+        G = self.grad_fn(X)
+        self._memo[0] = (key, G.copy())
+        return G
 
     def sample_exact(self, rng: np.random.Generator, n: int) -> Array:
         if self.exact_sampler is None:

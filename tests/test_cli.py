@@ -115,6 +115,8 @@ class TestRunExperiment:
         assert (out / "snapshots" / "snapshot_00000000.csv").exists()
         assert summary["final"]["energy_dist"] < summary["initial"]["energy_dist"]
         assert summary["config"]["run"]["seed"] == 7
+        assert summary["status"] == "completed"
+        assert json.loads((out / "summary.json").read_text()) == summary
 
     def test_single_iteration_trace(self, tmp_path):
         cfg = parse_config(minimal_config(
@@ -161,6 +163,21 @@ class TestRunExperiment:
         # median, so the bandwidth is what turns non-finite.
         assert "non-finite kernel bandwidth" in str(exc.value)
         assert f"iteration={exc.value.iteration}" in str(exc.value)
+
+    def test_numerical_abort_writes_aborted_summary(self, tmp_path):
+        cfg = parse_config(small_run_config(
+            tmp_path / "o", run={"eps": 50.0, "iters": 200,
+                                 "n_particles": 8, "seed": 0}))
+        with pytest.raises(NumericalError) as exc:
+            run_experiment(cfg)
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "aborted"
+        assert "final" not in summary
+        assert summary["abort"] == {
+            "iteration": exc.value.iteration, "particle": None,
+            "message": exc.value.message}
+        assert "non-finite kernel bandwidth" in summary["abort"]["message"]
+        assert summary["config"] == cfg.to_dict()
 
     def test_reference_term_of_energy_distance_computed_once(
             self, tmp_path, monkeypatch):
@@ -214,6 +231,23 @@ class TestRunExperiment:
         with pytest.raises(NumericalError) as exc:
             run_experiment(cfg)
         assert (exc.value.iteration, exc.value.particle) == (3, 2)
+
+    def test_aborted_summary_names_the_particle(self, tmp_path, monkeypatch):
+        real_augment = DynamicsSpec.augment
+
+        def augment(spec, base):
+            target = real_augment(spec, base)
+            grad = nonfinite_on_call(target.grad_fn, call=8, particle=2)
+            return TargetDensity(target.dim, target.logp_fn, grad,
+                                 target.exact_sampler, target.name)
+
+        monkeypatch.setattr(DynamicsSpec, "augment", augment)
+        with pytest.raises(NumericalError):
+            run_experiment(parse_config(small_run_config(tmp_path / "o")))
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "aborted"
+        assert (summary["abort"]["iteration"],
+                summary["abort"]["particle"]) == (3, 2)
 
     def test_resample_period(self, tmp_path):
         cfg = parse_config(small_run_config(
@@ -448,6 +482,9 @@ class TestMain:
         err = capsys.readouterr().err
         assert "numerical abort: run aborted on non-finite value: " \
                "non-finite kernel bandwidth iteration=" in err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "aborted"
+        assert f"iteration={summary['abort']['iteration']}" in err
 
     def test_seed_override_changes_output(self, tmp_path):
         path = tmp_path / "cfg.json"

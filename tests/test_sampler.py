@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gsvgd.kernels as kernels_mod
+import gsvgd.sampler as sampler_mod
 from gsvgd.dynamics import KINDS, DynamicsSpec
 from gsvgd.errors import NumericalError
 from gsvgd.kernels import KernelConfig, median_bandwidth
@@ -162,6 +163,43 @@ class TestGsvgdVelocity:
         v = gsvgd_velocity(x, target, spec, h=1.0)
         v_perm = gsvgd_velocity(x[perm], target, spec, h=1.0)
         np.testing.assert_allclose(v_perm, v[perm], atol=1e-12)
+
+
+class TestStackedRightHandSide:
+    """The columns of ``V`` in the one contraction of a Stein field."""
+
+    @staticmethod
+    def captured(kind, field, monkeypatch):
+        spec, target = make_spec(kind, friction=0.4, sigma2=0.8, mu=1.5)
+        x = np.random.default_rng(29).uniform(-1.5, 1.5, size=(9, spec.dim))
+        seen = []
+
+        def contract(X, h, V):
+            seen.append(V.copy())
+            return kernels_mod.contract(X, h, V)
+
+        monkeypatch.setattr(sampler_mod, "contract", contract)
+        field(x, target, spec, h=1.1)
+        (V,) = seen
+        return x, V
+
+    @staticmethod
+    def holds(V, column):
+        return any(np.array_equal(V[:, j], column) for j in range(V.shape[1]))
+
+    @pytest.mark.parametrize("field", [gsvgd_velocity, gsvgd_velocity_alt])
+    @pytest.mark.parametrize("kind", ["RLD", "RHMC"])
+    def test_per_particle_coefficients_stack_neither_x_nor_ones(
+            self, kind, field, monkeypatch):
+        x, V = self.captured(kind, field, monkeypatch)
+        assert not self.holds(V, np.ones(x.shape[0]))
+        assert not any(self.holds(V, x[:, k]) for k in range(x.shape[1]))
+
+    @pytest.mark.parametrize("kind", ["LD", "HMC", "NHT", "ThirdOrder"])
+    def test_constant_coefficients_stack_x_and_ones(self, kind, monkeypatch):
+        x, V = self.captured(kind, gsvgd_velocity, monkeypatch)
+        assert self.holds(V, np.ones(x.shape[0]))
+        assert all(self.holds(V, x[:, k]) for k in range(x.shape[1]))
 
 
 class TestMultiBlock:

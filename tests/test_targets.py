@@ -1,11 +1,15 @@
+import threading
+
 import numpy as np
 import pytest
 
-from gsvgd.dynamics import DynamicsSpec
-from gsvgd.targets import (gaussian, gaussian_mixture, standard_gaussian,
-                           tri_crescent_target)
+from gsvgd.dynamics import KINDS, DynamicsSpec, RiemannConfig
+from gsvgd.integrator import euler_step, symmetric_split_step
+from gsvgd.sampler import gsvgd_velocity
+from gsvgd.targets import (TargetDensity, gaussian, gaussian_mixture,
+                           standard_gaussian, tri_crescent_target)
 
-from helpers import fd_gradient, rel_err
+from helpers import fd_gradient, make_spec, rel_err
 
 
 def hmc_augmented(base, sigma2):
@@ -204,3 +208,147 @@ class TestBlockLayout:
         assert (spec.theta_slice, spec.r_slice, spec.xi_slice) == (
             slice(0, 2), slice(2, 4), slice(4, 6))
         assert spec.augment(standard_gaussian(2)).dim == 6
+
+
+def counting(base):
+    """``base`` with a score that counts its evaluations in ``.calls``."""
+    calls = []
+
+    def grad_fn(X):
+        calls.append(1)
+        return base.grad_fn(X)
+
+    target = TargetDensity(base.dim, base.logp_fn, grad_fn,
+                           base.exact_sampler, base.name)
+    return target, calls
+
+
+def fixed_h_field(target, spec, h=0.9):
+    return lambda Y: gsvgd_velocity(Y, target, spec, h)
+
+
+class TestScoreMemo:
+    """``grad_many`` remembers the score of its last batch."""
+
+    def test_full_batch_split_run_scores_each_theta_once(self):
+        # The momentum half steps leave theta as it was, so K split steps
+        # see K + 1 distinct thetas.
+        base, calls = counting(tri_crescent_target())
+        spec = DynamicsSpec("HMC", 2, friction=0.3)
+        target = spec.augment(base)
+        X = np.random.default_rng(0).standard_normal((6, 4))
+        steps = 5
+        for _ in range(steps):
+            X = symmetric_split_step(X, fixed_h_field(target, spec), 0.05, spec)
+        assert len(calls) == steps + 1
+
+    def test_new_target_per_step_scores_twice_per_step(self):
+        # As the BNN run does with a minibatch: a new base each iteration,
+        # so only the first two sub-states of a step share the score.
+        calls = []
+        spec = DynamicsSpec("HMC", 2, friction=0.3)
+        X = np.random.default_rng(1).standard_normal((6, 4))
+        steps = 4
+        for _ in range(steps):
+            base, step_calls = counting(tri_crescent_target())
+            X = symmetric_split_step(
+                X, fixed_h_field(spec.augment(base), spec), 0.05, spec)
+            calls += step_calls
+        assert len(calls) == 2 * steps
+
+    @pytest.mark.parametrize("kind", ["RLD", "RHMC"])
+    def test_metric_and_drift_share_one_score(self, kind):
+        base, calls = counting(tri_crescent_target())
+        spec = DynamicsSpec(kind, 2, riemann=RiemannConfig(base))
+        X = np.random.default_rng(2).standard_normal((7, spec.dim))
+        euler_step(X, fixed_h_field(spec.augment(base), spec), 0.05)
+        assert len(calls) == 1
+
+    def test_hit_is_bit_identical_to_a_fresh_evaluation(self):
+        target, calls = counting(tri_crescent_target())
+        X = np.random.default_rng(3).standard_normal((9, 2))
+        first = target.grad_many(X)
+        hit = target.grad_many(X.copy())
+        assert len(calls) == 1
+        assert hit.tobytes() == first.tobytes()
+        assert hit.tobytes() == target.grad_fn(X).tobytes()
+
+    def test_mutating_a_result_does_not_change_a_later_hit(self):
+        base = gaussian_mixture([[0.0, 0.0], [3.0, 1.0]])
+        target, calls = counting(base)
+        X = np.random.default_rng(4).standard_normal((5, 2))
+        fresh = base.grad_fn(X)
+        target.grad_many(X)[:] = 7.0
+        target.grad_many(X)[:] = -7.0
+        np.testing.assert_array_equal(target.grad_many(X), fresh)
+        assert len(calls) == 1
+
+    def test_equal_values_with_other_bytes_recompute(self):
+        target, calls = counting(standard_gaussian(2))
+        target.grad_many(np.array([[0.0, 1.0]]))
+        target.grad_many(np.array([[-0.0, 1.0]]))
+        assert len(calls) == 2
+        nan_a = np.array([[np.nan, 1.0]])
+        nan_b = nan_a.copy()
+        nan_b.view(np.uint64)[0, 0] ^= 1          # another NaN payload
+        assert np.isnan(nan_b[0, 0])
+        target.grad_many(nan_a)
+        target.grad_many(nan_b)
+        assert len(calls) == 4
+
+    def test_validates_before_the_memo(self):
+        target = standard_gaussian(2)
+        X = np.zeros((3, 2))
+        target.grad_many(X)
+        with pytest.raises(ValueError):
+            target.grad_many(X.reshape(2, 3))
+
+    def test_concurrent_calls_match_fresh_evaluations(self):
+        target = tri_crescent_target()
+        rng = np.random.default_rng(5)
+        inputs = [rng.standard_normal((4, 2)) for _ in range(3)]
+        expected = [target.grad_fn(X) for X in inputs]
+        failures = []
+
+        def worker(offset):
+            for i in range(300):
+                k = (i + offset) % 3
+                if target.grad_many(inputs[k]).tobytes() != \
+                        expected[k].tobytes():
+                    failures.append(k)
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert failures == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fields_match_fresh_targets_bit_for_bit(self, kind):
+        # The same steps, once on one memoized target and once on a new
+        # base, metric and augmented target for every field call.
+        def problem():
+            return make_spec(kind, friction=0.4, sigma2=0.8, mu=1.5)
+
+        spec, target = problem()
+        X0 = np.random.default_rng(6).uniform(-1.5, 1.5, size=(8, spec.dim))
+        runs = []
+        for fresh in (False, True):
+            seen = []
+
+            def field(Y):
+                s, t = problem() if fresh else (spec, target)
+                v = gsvgd_velocity(Y, t, s, 0.9)
+                seen.append(v.tobytes())
+                return v
+
+            X = X0
+            for _ in range(3):
+                if spec.has_r:
+                    X = symmetric_split_step(X, field, 0.05, spec)
+                else:
+                    X = euler_step(X, field, 0.05)
+            runs.append((seen, X.tobytes()))
+        assert runs[0] == runs[1]
