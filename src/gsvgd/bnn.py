@@ -196,11 +196,12 @@ def make_dataset(features: Array, targets: Array, seed: int,
 def load_regression_csv(path, seed: int, test_frac: float = 0.1) -> Dataset:
     """Load a numeric CSV (last column = target, optional header row).
 
-    A cell that fails to parse or is not finite (``nan``, ``inf``) raises a
-    ValueError naming its row and column (1-based, header included in the
-    row count).
+    The first row is a header when none of its cells parses as a number.  A
+    UTF-8 byte-order mark is skipped.  A cell that fails to parse or is not
+    finite (``nan``, ``inf``) raises a ValueError naming its row and column
+    (1-based, header included in the row count).
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
@@ -216,11 +217,14 @@ def load_regression_csv(path, seed: int, test_frac: float = 0.1) -> Dataset:
                     f"{cell!r}") from None
         return out
 
-    try:
-        parse_row(lines[0], 1)
-        start = 0
-    except ValueError:
-        start = 1      # header row
+    def is_number(cell: str) -> bool:
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    start = 0 if any(map(is_number, lines[0].split(","))) else 1
     rows = [parse_row(line, i)
             for i, line in enumerate(lines[start:], start=start + 1)]
     if not rows:
@@ -277,22 +281,26 @@ class BNNPosterior:
     def logp_many(self, W: Array, idx=None) -> Array:
         """Log prior plus the (rescaled) batch log-likelihood, per row of the
         (N, P) parameter stack W."""
-        Xb, yb = self._batch(idx)
-        w1, b1, w2, b2, lg, _ = unflatten_params(W, self.d_in, self.hidden)
-        resid = yb - _forward(w1, b1, w2, b2, Xb)[2]
-        loglik = np.sum((0.5 * (lg - _LOG_2PI))[:, None]
-                        - (0.5 * np.exp(lg))[:, None] * resid ** 2, axis=1)
-        scale = self.dataset.n_train / Xb.shape[0]
-        return scale * loglik + _prior(W, self.d_in, self.hidden)[0]
+        return self._evaluate(W, idx, with_logp=True)[0]
 
     def grad_many(self, W: Array, idx=None) -> Array:
         """Backpropagated gradient per row of W, in the flattening order."""
+        return self._evaluate(W, idx, with_logp=False)[1]
+
+    def _evaluate(self, W: Array, idx, with_logp: bool):
+        """``(logp or None, grad)`` per row of W, from one forward pass."""
         Xb, yb = self._batch(idx)
         w1, b1, w2, b2, lg, _ = unflatten_params(W, self.d_in, self.hidden)
         gamma = np.exp(lg)[:, None]
         z, a, m = _forward(w1, b1, w2, b2, Xb)
         resid = yb - m
         scale = self.dataset.n_train / Xb.shape[0]
+        prior, prior_grad = _prior(W, self.d_in, self.hidden)
+        half_sq = 0.5 * gamma * resid ** 2
+        logp = None
+        if with_logp:
+            loglik = np.sum((0.5 * (lg - _LOG_2PI))[:, None] - half_sq, axis=1)
+            logp = scale * loglik + prior
 
         dm = gamma * resid                          # dloglik/dm per point
         dz = dm[:, :, None] * w2[:, None, :]
@@ -303,9 +311,9 @@ class BNNPosterior:
             dz.sum(axis=1),
             np.matmul(a.transpose(0, 2, 1), dm[:, :, None])[..., 0],
             dm.sum(axis=1, keepdims=True),
-            np.sum(0.5 - 0.5 * gamma * resid ** 2, axis=1, keepdims=True),
+            np.sum(0.5 - half_sq, axis=1, keepdims=True),
             np.zeros((n, 1))], axis=1)
-        return scale * lik + _prior(W, self.d_in, self.hidden)[1]
+        return logp, scale * lik + prior_grad
 
     def log_posterior(self, vec: Array, idx=None) -> float:
         """:meth:`logp_many` of one parameter vector."""
@@ -317,7 +325,8 @@ class BNNPosterior:
 
     def as_target(self, idx=None) -> TargetDensity:
         """View of this (mini)batch posterior as a sampling target."""
-        return TargetDensity(self.dim, lambda W: self.logp_many(W, idx),
+        return TargetDensity(self.dim,
+                             lambda W: self._evaluate(W, idx, with_logp=True),
                              lambda W: self.grad_many(W, idx), None, "bnn")
 
 

@@ -40,6 +40,7 @@ per-particle diagonal times ``I``, so ``(A, C)`` over an ensemble is the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -107,13 +108,14 @@ class StructuredAC:
     a: Array | float
     couplings: tuple[tuple[Array | float, slice, slice], ...] = ()
 
-    def terms(self) -> list[tuple[Array | float, tuple[slice, ...]]]:
+    @cached_property
+    def terms(self) -> tuple[tuple[Array | float, tuple[slice, ...]], ...]:
         """Each coefficient with the source column blocks it multiplies:
         ``a`` on all columns, then each coupling on ``w`` and on ``u``.
         Flattened, this is the order in which :meth:`combine` takes its
         parts."""
-        return [(self.a, (slice(None),))] + [
-            (c, (w, u)) for c, u, w in self.couplings]
+        return ((self.a, (slice(None),)),) + tuple(
+            (c, (w, u)) for c, u, w in self.couplings)
 
     def combine(self, parts) -> Array:
         """Assemble ``(A + C)`` applied blockwise from its products.
@@ -131,7 +133,7 @@ class StructuredAC:
 
     def apply(self, V: Array) -> Array:
         """Row-wise ``(A + C) v`` for an (N, D) batch of vectors."""
-        return self.combine([c * V[:, s] for c, sources in self.terms()
+        return self.combine([c * V[:, s] for c, sources in self.terms
                              for s in sources])
 
 
@@ -186,21 +188,21 @@ class DynamicsSpec:
     def has_xi(self) -> bool:
         return self.kind in KINDS_WITH_XI
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.d_theta * (1 + self.has_r + self.has_xi)
 
-    @property
+    @cached_property
     def theta_slice(self) -> slice:
         return slice(0, self.d_theta)
 
-    @property
+    @cached_property
     def r_slice(self) -> slice:
         """Columns of the momentum block; empty when the kind has none."""
         d = self.d_theta
         return slice(d, 2 * d if self.has_r else d)
 
-    @property
+    @cached_property
     def xi_slice(self) -> slice:
         """Columns of the thermostat block; empty when the kind has none."""
         d = self.d_theta
@@ -230,13 +232,6 @@ class DynamicsSpec:
                             self.has_xi)
         sigma2, mu, mean = self.sigma2, self.mu, self.xi_mean
 
-        def logp_fn(X: Array) -> Array:
-            out = base.logp_many(X[:, t])
-            out = out - 0.5 * np.sum(X[:, r] ** 2, axis=1) / sigma2
-            if has_xi:
-                out = out - 0.5 * mu * np.sum((X[:, xi] - mean) ** 2, axis=1)
-            return out
-
         def grad_fn(X: Array) -> Array:
             out = np.empty_like(X)
             out[:, t] = base.grad_many(X[:, t])
@@ -244,6 +239,14 @@ class DynamicsSpec:
             if has_xi:
                 out[:, xi] = -mu * (X[:, xi] - mean)
             return out
+
+        def value_and_grad_fn(X: Array) -> tuple[Array, Array]:
+            # base.logp_many stores the theta score, so grad_fn reuses it.
+            out = base.logp_many(X[:, t])
+            out = out - 0.5 * np.sum(X[:, r] ** 2, axis=1) / sigma2
+            if has_xi:
+                out = out - 0.5 * mu * np.sum((X[:, xi] - mean) ** 2, axis=1)
+            return out, grad_fn(X)
 
         sampler = None
         if base.exact_sampler is not None:
@@ -256,7 +259,8 @@ class DynamicsSpec:
                 return np.concatenate(blocks, axis=1)
 
         name = base.name + ("+r+xi" if has_xi else "+r")
-        return TargetDensity(self.dim, logp_fn, grad_fn, sampler, name)
+        return TargetDensity(self.dim, value_and_grad_fn, grad_fn, sampler,
+                             name)
 
     def _check_states(self, X: Array) -> Array:
         X = np.asarray(X, dtype=float)
@@ -264,12 +268,36 @@ class DynamicsSpec:
             raise ValueError(f"states have shape {X.shape}, expected (N, {self.dim})")
         return X
 
+    @cached_property
+    def _friction_a(self) -> Array:
+        """The diagonal of ``A`` for HMC, NHT and ThirdOrder: the friction
+        on the r block (the xi block for ThirdOrder).  Read-only."""
+        a = np.zeros(self.dim)
+        a[self.xi_slice if self.kind == "ThirdOrder" else self.r_slice] = \
+            self.friction
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def _constant_ac(self) -> StructuredAC | None:
+        """The ``(A, C)`` record of LD, HMC and ThirdOrder, which does not
+        depend on the state; None for the other kinds."""
+        t, r, xi = self.theta_slice, self.r_slice, self.xi_slice
+        if self.kind == "LD":
+            return StructuredAC(1.0)
+        if self.kind == "HMC":
+            return StructuredAC(self._friction_a, ((1.0, t, r),))
+        if self.kind == "ThirdOrder":
+            return StructuredAC(self._friction_a,
+                                ((1.0, t, r), (self.gamma, r, xi)))
+        return None
+
     def _structure(self, X: Array) -> tuple[StructuredAC, Array | None]:
         """``(A, C)`` at each row plus the divergence of ``A + C`` (None
         where it vanishes); the metric is evaluated at most once."""
+        if self._constant_ac is not None:
+            return self._constant_ac, None
         t, r, xi = self.theta_slice, self.r_slice, self.xi_slice
-        if self.kind == "LD":
-            return StructuredAC(1.0), None
         if self.kind in RIEMANN_KINDS:
             s, ds = self.riemann.metric(X[:, t])
             if self.kind == "RLD":
@@ -281,18 +309,12 @@ class DynamicsSpec:
             div = np.zeros_like(X)
             div[:, r] = ds / (2.0 * root[:, None])
             return StructuredAC(a, ((root[:, None], t, r),)), div
-        a = np.zeros(self.dim)
-        if self.kind == "ThirdOrder":
-            a[xi] = self.friction
-            return StructuredAC(a, ((1.0, t, r), (self.gamma, r, xi))), None
-        a[r] = self.friction
-        if self.kind == "HMC":
-            return StructuredAC(a, ((1.0, t, r),)), None
         # NHT: only the xi rows' r-dependence survives in the divergence.
         coupling = -X[:, r] / (self.mu * self.sigma2)
         div = np.zeros_like(X)
         div[:, xi] = -1.0 / (self.mu * self.sigma2)
-        return StructuredAC(a, ((1.0, t, r), (coupling, r, xi))), div
+        return StructuredAC(self._friction_a,
+                            ((1.0, t, r), (coupling, r, xi))), div
 
     def drift_many(self, X: Array, target) -> tuple[Array, StructuredAC]:
         """Stationary drift ``(A+C) grad_logp + div(A+C)`` for each row,

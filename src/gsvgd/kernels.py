@@ -9,7 +9,10 @@ median rule is a documented choice; step-size tuning absorbs it.
 Every pairwise sum the samplers need is ``K @ V`` for the set's own kernel
 matrix ``K`` and a stacked right-hand side ``V``; :func:`contract` computes
 it in cache-sized symmetric row blocks, so at most one block of the kernel
-matrix is held and each off-diagonal kernel pair is built once.
+matrix is held and each off-diagonal kernel pair is built once.  When the
+set is one block, the median bandwidth keeps the squared distances it
+selected from, and a contraction at that bandwidth over the same positions
+builds its kernel from them instead of computing them again.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 Array = np.ndarray
 
@@ -25,7 +28,42 @@ Array = np.ndarray
 _BLOCK_ENTRIES = 1 << 17
 
 
-def median_bandwidth(positions, h_min: float = 1e-6) -> float:
+def _rows_per_block(n: int) -> int:
+    """Rows of one :func:`contract` block for an N-particle set; the set is
+    one block when N is at most this (N <= 362)."""
+    return max(1, _BLOCK_ENTRIES // n)
+
+
+class Bandwidth(float):
+    """A kernel bandwidth that may carry the squared distances behind it.
+
+    :func:`median_bandwidth` of a one-block set keeps the condensed
+    ``pdist`` squared distances (read-only, unpartitioned) together with the
+    shape and bytes of the positions they came from; :func:`contract`
+    builds its kernel from them when it is given this bandwidth and the same
+    positions.  Arithmetic on it gives a plain float, so ``float(h)`` or any
+    derived value carries nothing.
+    """
+
+    def __new__(cls, value, d2=None, positions=None):
+        self = super().__new__(cls, value)
+        self.d2 = d2
+        self._source = None
+        if d2 is not None:
+            d2.flags.writeable = False
+            self._source = (positions.shape, positions.tobytes())
+        return self
+
+    def distances_for(self, X: Array):
+        """The stored squared distances if they are those of ``X``, else
+        None."""
+        if self._source is None or X.shape != self._source[0] \
+                or X.tobytes() != self._source[1]:
+            return None
+        return self.d2
+
+
+def median_bandwidth(positions, h_min: float = 1e-6) -> Bandwidth:
     """Median-heuristic bandwidth ``med^2 / log N``, clamped below by h_min.
 
     ``med`` is the median of the m = N(N-1)/2 off-diagonal pairwise
@@ -33,7 +71,8 @@ def median_bandwidth(positions, h_min: float = 1e-6) -> float:
     ``k = m // 2`` places the middle value at k (for even m, the lower one is
     the maximum below k).  Only these are square-rooted, and their mean
     equals ``np.median(pdist(X))`` bit for bit.  A one-particle set returns
-    the clamp of 1.0.
+    the clamp of 1.0.  For a one-block set the selection partitions a copy,
+    and the result carries the distances (:class:`Bandwidth`).
     """
     positions = np.asarray(positions, dtype=float)
     if (positions.ndim != 2 or positions.shape[0] < 1
@@ -41,13 +80,16 @@ def median_bandwidth(positions, h_min: float = 1e-6) -> float:
         raise ValueError("positions must be a finite, nonempty (N, D) array")
     n = positions.shape[0]
     if n == 1:
-        return max(1.0, h_min)
+        return Bandwidth(max(1.0, h_min))
     d2 = pdist(positions, "sqeuclidean")
-    k = d2.size // 2
-    d2.partition(k)
-    middle = [d2[k]] if d2.size % 2 else [d2[:k].max(), d2[k]]
+    shared = n <= _rows_per_block(n)
+    sel = d2.copy() if shared else d2
+    k = sel.size // 2
+    sel.partition(k)
+    middle = [sel[k]] if sel.size % 2 else [sel[:k].max(), sel[k]]
     med = float(np.mean(np.sqrt(middle)))
-    return max(med ** 2 / np.log(n), h_min)
+    h = max(med ** 2 / np.log(n), h_min)
+    return Bandwidth(h, d2, positions) if shared else Bandwidth(h)
 
 
 def gram(Xa: Array, Xb: Array, h: float) -> Array:
@@ -59,7 +101,9 @@ def gram(Xa: Array, Xb: Array, h: float) -> Array:
 def contract(X: Array, h: float, V: Array) -> Array:
     """``gram(X, X, h) @ V`` for (N, D) ``X`` and (N, m) ``V``.
 
-    A set of at most one block is one ``gram`` and one matmul.  A larger set
+    A set of at most one block is one ``gram`` and one matmul; when ``h``
+    is a :class:`Bandwidth` holding the distances of this ``X``, the kernel
+    is built from them (bitwise equal to ``gram``).  A larger set
     is swept in row blocks ``I = [i0, i1)``: the block's kernel rows are
     built against the trailing columns ``i0:`` only, and by symmetry
     ``K[I, i1:]`` also gives ``K[i1:, I]``, so each off-diagonal pair is
@@ -68,9 +112,15 @@ def contract(X: Array, h: float, V: Array) -> Array:
     to rounding, not bit for bit.
     """
     n = X.shape[0]
-    rows = max(1, _BLOCK_ENTRIES // n)
+    rows = _rows_per_block(n)
     if n <= rows:
-        return gram(X, X, h) @ V
+        d2 = h.distances_for(X) if isinstance(h, Bandwidth) else None
+        if d2 is None:
+            return gram(X, X, h) @ V
+        E = d2 / -h
+        K = squareform(np.exp(E, out=E))
+        np.fill_diagonal(K, 1.0)
+        return K @ V
     S = np.zeros((n, V.shape[1]))
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)

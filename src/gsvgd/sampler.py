@@ -7,7 +7,9 @@ per-particle quantities (drift, (A, C) coefficients, kernel) from a snapshot
 of the state, then combine them.  Velocities are therefore a pure function
 of the snapshot; applying them is a separate phase, and evaluation may be
 parallelized across the outer particle index.  Fields take the kernel
-bandwidth ``h`` explicitly; the caller resolves it once per outer step.
+bandwidth ``h`` explicitly; the caller resolves it once per outer step and
+passes it on unchanged, so a median bandwidth's squared distances reach the
+contraction (:class:`gsvgd.kernels.Bandwidth`).
 
 The main field applies the diffusion Stein operator of the (A, C) dynamics
 to the kernel and averages it over the empirical measure:
@@ -35,11 +37,14 @@ Array = np.ndarray
 
 
 def _check_bandwidth(h: float) -> float:
+    """``h`` as a float, once it is known to be finite and positive.  A
+    float (a :class:`gsvgd.kernels.Bandwidth` included) is returned itself,
+    so the distances it carries reach the contraction."""
     if not np.isfinite(h):
         raise NumericalError("non-finite kernel bandwidth")
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
-    return float(h)
+    return h if isinstance(h, float) else float(h)
 
 
 def check_finite(values: Array, what: str) -> Array:
@@ -80,7 +85,7 @@ def _stein_velocity(X: Array, F: Array, ac: StructuredAC, h: float) -> Array:
     ``c`` and its ``c X_s`` for each per-particle coefficient.
     """
     n = X.shape[0]
-    terms = ac.terms()
+    terms = ac.terms
     constant = any(not _per_particle(c) for c, _ in terms)
     blocks = [F] + ([X, np.ones((n, 1))] if constant else [])
     for c, sources in terms:

@@ -8,12 +8,15 @@ The dynamics (:class:`gsvgd.dynamics.DynamicsSpec`) decides which momentum
 ``r`` and thermostat ``xi`` blocks follow ``theta`` in the state, and builds
 the product target on that state.
 
-The evaluators ``logp_fn`` and ``grad_fn`` are pure.  Each target remembers
-the score of its last batch: :meth:`TargetDensity.grad_many` returns a copy
-of it when called again on the same bytes, so the sub-steps of a split step
-and the Riemannian metric share one score evaluation per distinct theta
-with the drift.  The memo is one tuple replaced whole, and a hit is a copy,
-so calls are still safe concurrently.
+A target has two pure evaluators: ``value_and_grad_fn`` gives the log
+density and the score together, computing the terms they share once, and
+``grad_fn`` gives the score alone.  Each target remembers its last batch:
+:meth:`TargetDensity.grad_many` and :meth:`TargetDensity.logp_many` return
+copies of what is stored when called again on the same bytes.  So the
+sub-steps of a split step share one score evaluation per distinct theta,
+and the Riemannian metric, which needs the energy and the score, makes one
+evaluation that the drift's score then reuses.  The memo is one tuple
+replaced whole, and a hit is a copy, so calls are still safe concurrently.
 """
 
 from __future__ import annotations
@@ -32,19 +35,21 @@ class TargetDensity:
 
     Attributes:
         dim: Dimensionality ``D``.
-        logp_fn: Batched evaluator, ``(N, D) -> (N,)``.
-        grad_fn: Batched gradient, ``(N, D) -> (N, D)``.
+        value_and_grad_fn: Batched log density and gradient together,
+            ``(N, D) -> ((N,), (N, D))``; its gradient is bitwise that of
+            ``grad_fn``.
+        grad_fn: Batched gradient alone, ``(N, D) -> (N, D)``.
         exact_sampler: Optional ``(rng, n) -> (n, D)`` drawing exact samples;
             present for Gaussian and mixture targets and their augmentations.
         name: Short identifier used in run configs.
     """
 
     dim: int
-    logp_fn: Callable[[Array], Array]
+    value_and_grad_fn: Callable[[Array], tuple[Array, Array]]
     grad_fn: Callable[[Array], Array]
     exact_sampler: Optional[Callable[[np.random.Generator, int], Array]] = None
     name: str = "target"
-    # ``[(key, grad)]`` of the last grad_many batch; see grad_many.
+    # ``[(key, grad, logp or None)]`` of the last batch; see grad_many.
     _memo: list = field(default_factory=lambda: [None], init=False,
                         repr=False, compare=False)
 
@@ -57,10 +62,16 @@ class TargetDensity:
             raise ValueError("point has non-finite entries")
         return x
 
+    def _check_batch(self, X: Array) -> Array:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"batch has shape {X.shape}, expected (N, {self.dim})")
+        return X
+
     def logp(self, x: Array) -> float:
         """Un-normalized log-density at a single point."""
         x = self._check_point(x)
-        return float(self.logp_fn(x[None, :])[0])
+        return float(self.value_and_grad_fn(x[None, :])[0][0])
 
     def grad_logp(self, x: Array) -> Array:
         """Analytic gradient of ``logp`` at a single point."""
@@ -68,10 +79,19 @@ class TargetDensity:
         return self.grad_fn(x[None, :])[0]
 
     def logp_many(self, X: Array) -> Array:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"batch has shape {X.shape}, expected (N, {self.dim})")
-        return self.logp_fn(X)
+        """``logp`` per row, or a copy of the stored one for the same input.
+
+        A miss evaluates ``value_and_grad_fn`` and stores both results, so a
+        following :meth:`grad_many` at the same batch is a hit.
+        """
+        X = self._check_batch(X)
+        key = X.tobytes()
+        last = self._memo[0]
+        if last is not None and last[0] == key and last[2] is not None:
+            return last[2].copy()
+        L, G = self.value_and_grad_fn(X)
+        self._memo[0] = (key, G.copy(), L.copy())
+        return L
 
     def grad_many(self, X: Array) -> Array:
         """``grad_fn(X)``, or a copy of the last result for the same input.
@@ -80,15 +100,13 @@ class TargetDensity:
         hit is bit-identical to a fresh evaluation (``-0.0`` against ``0.0``
         or another NaN payload recomputes).
         """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"batch has shape {X.shape}, expected (N, {self.dim})")
+        X = self._check_batch(X)
         key = X.tobytes()
         last = self._memo[0]
         if last is not None and last[0] == key:
             return last[1].copy()
         G = self.grad_fn(X)
-        self._memo[0] = (key, G.copy())
+        self._memo[0] = (key, G.copy(), None)
         return G
 
     def sample_exact(self, rng: np.random.Generator, n: int) -> Array:
@@ -108,9 +126,9 @@ def gaussian(mean: Array, cov: Array, name: str = "gauss") -> TargetDensity:
     prec = np.linalg.inv(cov)
     prec = 0.5 * (prec + prec.T)
 
-    def logp_fn(X: Array) -> Array:
+    def value_and_grad_fn(X: Array) -> tuple[Array, Array]:
         diff = X - mean
-        return -0.5 * np.einsum("ni,ij,nj->n", diff, prec, diff)
+        return -0.5 * np.einsum("ni,ij,nj->n", diff, prec, diff), -diff @ prec
 
     def grad_fn(X: Array) -> Array:
         return -(X - mean) @ prec
@@ -118,7 +136,7 @@ def gaussian(mean: Array, cov: Array, name: str = "gauss") -> TargetDensity:
     def sampler(rng: np.random.Generator, n: int) -> Array:
         return mean + rng.standard_normal((n, d)) @ chol.T
 
-    return TargetDensity(d, logp_fn, grad_fn, sampler, name)
+    return TargetDensity(d, value_and_grad_fn, grad_fn, sampler, name)
 
 
 def standard_gaussian(dim: int) -> TargetDensity:
@@ -145,28 +163,29 @@ def gaussian_mixture(means: Array, weights: Array | None = None,
         raise ValueError("component variance must be positive")
     logw = np.log(weights)
 
-    def _terms(X: Array) -> Array:
+    def _score(X: Array) -> tuple[Array, Array, Array]:
+        """Max and sum of the shifted component weights, and the score."""
         diff = X[:, None, :] - means[None, :, :]           # (N, K, D)
-        return logw - 0.5 * np.sum(diff ** 2, axis=-1) / var
+        t = logw - 0.5 * np.sum(diff ** 2, axis=-1) / var
+        m = np.max(t, axis=1, keepdims=True)
+        resp = np.exp(t - m)
+        total = resp.sum(axis=1, keepdims=True)
+        resp /= total                                       # (N, K)
+        comp = (means[None, :, :] - X[:, None, :]) / var    # (N, K, D)
+        return m, total, np.sum(resp[:, :, None] * comp, axis=1)
 
-    def logp_fn(X: Array) -> Array:
-        t = _terms(X)
-        m = np.max(t, axis=1)
-        return m + np.log(np.sum(np.exp(t - m[:, None]), axis=1))
+    def value_and_grad_fn(X: Array) -> tuple[Array, Array]:
+        m, total, grad = _score(X)
+        return m[:, 0] + np.log(total[:, 0]), grad
 
     def grad_fn(X: Array) -> Array:
-        t = _terms(X)
-        t = t - np.max(t, axis=1, keepdims=True)
-        resp = np.exp(t)
-        resp /= resp.sum(axis=1, keepdims=True)             # (N, K)
-        comp = (means[None, :, :] - X[:, None, :]) / var    # (N, K, D)
-        return np.sum(resp[:, :, None] * comp, axis=1)
+        return _score(X)[2]
 
     def sampler(rng: np.random.Generator, n: int) -> Array:
         idx = rng.choice(k, size=n, p=weights)
         return means[idx] + np.sqrt(var) * rng.standard_normal((n, d))
 
-    return TargetDensity(d, logp_fn, grad_fn, sampler, "gauss_mix")
+    return TargetDensity(d, value_and_grad_fn, grad_fn, sampler, "gauss_mix")
 
 
 _CRESCENT_Z = np.array([-2.0, 0.0, 2.0])
@@ -183,26 +202,27 @@ def tri_crescent_target() -> TargetDensity:
     ``logp(0, 0) = 0``).  No exact sampler exists for this target.
     """
 
-    def _terms(X: Array) -> Array:
+    def _score(X: Array) -> tuple[Array, Array, Array]:
+        """Max and sum of the shifted component weights, and the score."""
         x, y = X[:, 0], X[:, 1]
         s = _CRESCENT_Z[None, :] * y[:, None] - (x ** 2)[:, None]   # (N, 3)
-        return -(x ** 4)[:, None] / 10.0 - 0.5 * s ** 2
-
-    def logp_fn(X: Array) -> Array:
-        t = _terms(X)
-        m = np.max(t, axis=1)
-        return m + np.log(np.sum(np.exp(t - m[:, None]), axis=1)) - np.log(3.0)
-
-    def grad_fn(X: Array) -> Array:
-        x, y = X[:, 0], X[:, 1]
-        s = _CRESCENT_Z[None, :] * y[:, None] - (x ** 2)[:, None]
         t = -(x ** 4)[:, None] / 10.0 - 0.5 * s ** 2
-        t = t - np.max(t, axis=1, keepdims=True)
-        w = np.exp(t)
-        w /= w.sum(axis=1, keepdims=True)
+        # The three-way maximum, unrolled: exact like np.max, and several
+        # times cheaper than a reduction along a length-3 axis.
+        m = np.maximum(np.maximum(t[:, :1], t[:, 1:2]), t[:, 2:])
+        w = np.exp(t - m)
+        total = w.sum(axis=1, keepdims=True)
+        w /= total
         dt_dx = -0.4 * (x ** 3)[:, None] + 2.0 * x[:, None] * s
         dt_dy = -_CRESCENT_Z[None, :] * s
-        return np.stack([np.sum(w * dt_dx, axis=1),
-                         np.sum(w * dt_dy, axis=1)], axis=1)
+        return m, total, np.stack([np.sum(w * dt_dx, axis=1),
+                                   np.sum(w * dt_dy, axis=1)], axis=1)
 
-    return TargetDensity(2, logp_fn, grad_fn, None, "tri_crescent")
+    def value_and_grad_fn(X: Array) -> tuple[Array, Array]:
+        m, total, grad = _score(X)
+        return m[:, 0] + np.log(total[:, 0]) - np.log(3.0), grad
+
+    def grad_fn(X: Array) -> Array:
+        return _score(X)[2]
+
+    return TargetDensity(2, value_and_grad_fn, grad_fn, None, "tri_crescent")

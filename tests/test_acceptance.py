@@ -123,8 +123,9 @@ def test_criterion_04_divergence_oracle():
     ]
     for spec in specs:
         # The drift under a zero score is the library's div(A + C).
-        flat = g.TargetDensity(spec.dim, lambda X: np.zeros(X.shape[0]),
-                               lambda X: np.zeros_like(X))
+        flat = g.TargetDensity(
+            spec.dim, lambda X: (np.zeros(X.shape[0]), np.zeros_like(X)),
+            lambda X: np.zeros_like(X))
         for _ in range(20):
             x = rng.uniform(-2.0, 2.0, size=spec.dim)
             fd = fd_divergence(spec, x)

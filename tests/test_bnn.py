@@ -199,6 +199,9 @@ class TestBatchedScore:
             helpers.bnn_grad_log_posterior(ds, hidden, w, idx) for w in W]))
         np.testing.assert_array_equal(target.logp_many(W), [
             helpers.bnn_log_posterior(ds, hidden, w, idx) for w in W])
+        L, G = target.value_and_grad_fn(W)
+        assert G.tobytes() == target.grad_fn(W).tobytes()
+        assert L.tobytes() == target.logp_many(W).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 10])
     @pytest.mark.parametrize("hidden", [1, 4, 50])
@@ -397,6 +400,31 @@ class TestCsvLoader:
         ds = load_regression_csv(path, seed=0)
         np.testing.assert_array_equal(ds.features[:, 0], table[:, 0])
         np.testing.assert_array_equal(ds.targets, table[:, 1])
+
+    def test_byte_order_mark_headerless_file_loads_every_row(self, tmp_path):
+        # As written by spreadsheet programs' "CSV UTF-8" export.
+        path = tmp_path / "data.csv"
+        table = np.arange(20.0).reshape(10, 2)
+        text = "\n".join(",".join(map(str, r)) for r in table)
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        ds = load_regression_csv(path, seed=0)
+        np.testing.assert_array_equal(ds.features[:, 0], table[:, 0])
+        np.testing.assert_array_equal(ds.targets, table[:, 1])
+
+    def test_byte_order_mark_before_a_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        rows = ["x,y"] + [",".join(map(str, r)) for r in np.ones((12, 2))]
+        path.write_bytes(b"\xef\xbb\xbf" + "\n".join(rows).encode("utf-8"))
+        assert load_regression_csv(path, seed=0).features.shape == (12, 1)
+
+    def test_first_row_with_a_number_is_data(self, tmp_path):
+        # One parsable cell makes row 1 a data row, so its bad cell is an
+        # error rather than a silently dropped header.
+        path = tmp_path / "data.csv"
+        rows = ["1.0,abc"] + [",".join(map(str, r)) for r in np.ones((10, 2))]
+        path.write_text("\n".join(rows))
+        with pytest.raises(ValueError, match="row 1, column 2: 'abc'"):
+            load_regression_csv(path, seed=0)
 
     def test_headerless_nonfinite_cell_names_location(self, tmp_path):
         path = tmp_path / "data.csv"

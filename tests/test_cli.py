@@ -223,7 +223,7 @@ class TestRunExperiment:
         def augment(spec, base):
             target = real_augment(spec, base)
             grad = nonfinite_on_call(target.grad_fn, call=8, particle=2)
-            return TargetDensity(target.dim, target.logp_fn, grad,
+            return TargetDensity(target.dim, target.value_and_grad_fn, grad,
                                  target.exact_sampler, target.name)
 
         monkeypatch.setattr(DynamicsSpec, "augment", augment)
@@ -238,7 +238,7 @@ class TestRunExperiment:
         def augment(spec, base):
             target = real_augment(spec, base)
             grad = nonfinite_on_call(target.grad_fn, call=8, particle=2)
-            return TargetDensity(target.dim, target.logp_fn, grad,
+            return TargetDensity(target.dim, target.value_and_grad_fn, grad,
                                  target.exact_sampler, target.name)
 
         monkeypatch.setattr(DynamicsSpec, "augment", augment)
@@ -469,6 +469,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error: data.path:" in err
         assert "row 13, column 2" in err
+
+    def test_dataset_first_row_with_a_bad_cell_is_config_error(
+            self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        rows = ["1.0,abc"] + [f"{0.1 * i},{np.sin(0.3 * i)}"
+                              for i in range(30)]
+        data.write_text("\n".join(rows))
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(minimal_config(
+            target="bnn", method="gsvgd", dynamics={"kind": "HMC"},
+            integrator="split", data={"path": str(data)},
+            output_dir=str(out)))
+        assert main(["run", "--config", str(path)]) == 2
+        assert not out.exists()
+        assert "row 1, column 2" in capsys.readouterr().err
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4

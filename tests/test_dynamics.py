@@ -34,8 +34,9 @@ def library_AC(spec, target, X):
 def library_divergence(spec, X):
     """The library's div(A + C): the drift under a target with zero score."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    flat = TargetDensity(spec.dim, lambda Y: np.zeros(Y.shape[0]),
-                         lambda Y: np.zeros_like(Y))
+    flat = TargetDensity(
+        spec.dim, lambda Y: (np.zeros(Y.shape[0]), np.zeros_like(Y)),
+        lambda Y: np.zeros_like(Y))
     return spec.drift_many(X, flat)[0]
 
 
@@ -231,7 +232,8 @@ class TestMetricFloor:
         # A target whose energy hits exactly -c_offset exercises the floor.
         target = TargetDensity(
             dim=1,
-            logp_fn=lambda X: np.full(X.shape[0], 0.5),
+            value_and_grad_fn=lambda X: (np.full(X.shape[0], 0.5),
+                                         np.zeros_like(X)),
             grad_fn=lambda X: np.zeros_like(X),
         )
         config = RiemannConfig(target, d_scale=1.5, c_offset=0.5)
@@ -290,6 +292,38 @@ class TestDrift:
         spec, target = make_spec("HMC", d_theta=1)
         with pytest.raises(ValueError):
             spec.drift_many(np.zeros((1, 4)), target)
+
+
+class TestConstantRecord:
+    """LD, HMC and ThirdOrder build their ``(A, C)`` record once per spec."""
+
+    @pytest.mark.parametrize("kind", ["LD", "HMC", "ThirdOrder"])
+    def test_record_is_built_once(self, kind):
+        spec, target = make_spec(kind)
+        rng = np.random.default_rng(20)
+        first = spec.drift_many(random_states(spec, rng, 4), target)[1]
+        second = spec.drift_many(random_states(spec, rng, 6), target)[1]
+        assert first is second
+        assert first.terms is second.terms
+
+    @pytest.mark.parametrize("kind", ["HMC", "NHT", "ThirdOrder"])
+    def test_cached_diagonal_is_read_only(self, kind):
+        spec, target = make_spec(kind)
+        ac = spec.drift_many(random_states(spec, np.random.default_rng(21),
+                                           3), target)[1]
+        with pytest.raises(ValueError):
+            ac.a[0] = 1.0
+        with pytest.raises(ValueError):
+            ac.a += 1.0
+
+    def test_equal_specs_build_their_own_records(self):
+        a, b = DynamicsSpec("HMC", 2, friction=0.3), \
+            DynamicsSpec("HMC", 2, friction=0.3)
+        assert a == b and a.dim == 4
+        flat = standard_gaussian(2)
+        X = np.zeros((2, 4))
+        assert a.drift_many(X, a.augment(flat))[1] is not \
+            b.drift_many(X, b.augment(flat))[1]
 
 
 class TestStationarity:

@@ -125,7 +125,7 @@ class TestSymmetricSplitStep:
         # sub-state (the 2nd of 3 field evaluations) is what turns
         # non-finite, and the field's drift check still names particle 1.
         target, spec = leapfrog_setup(friction=0.3)
-        bad = TargetDensity(2, target.logp_fn,
+        bad = TargetDensity(2, target.value_and_grad_fn,
                             nonfinite_on_call(target.grad_fn, 2, 1))
         x = np.array([[0.5, 0.1], [-0.4, 0.3], [0.2, -0.6]])
         with pytest.raises(NumericalError) as exc:

@@ -44,9 +44,10 @@ class TestMedianBandwidth:
             median_bandwidth(np.zeros((0, 2)))
 
     @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (4, 2), (200, 2),
-                                     (2000, 4), (11, 306)])
+                                     (362, 4), (363, 4), (2000, 4), (11, 306)])
     def test_selection_equals_np_median_bitwise(self, n, d):
-        # m = n(n-1)/2 pairs: odd for n = 2, 3, 11; even for n = 4, 200, 2000.
+        # m = n(n-1)/2 pairs: odd for n = 2, 3, 11, 362, 363; even for
+        # n = 4, 200, 2000.  362 is the largest one-block set.
         x = np.random.default_rng(n * 1000 + d).standard_normal((n, d))
         assert median_bandwidth(x) == median_reference(x)
 
@@ -97,6 +98,81 @@ class TestContract:
         assert rows == 2 * blocks
         if n <= self.ROWS:
             np.testing.assert_array_equal(out, expected)
+
+
+class TestSharedDistances:
+    """A one-block median bandwidth carries its squared distances to
+    ``contract``."""
+
+    @pytest.mark.parametrize("n", [2, 7, 200, 362])
+    def test_one_block_set_carries_unpartitioned_distances(self, n):
+        x = np.random.default_rng(n).standard_normal((n, 3))
+        h = median_bandwidth(x)
+        assert isinstance(h, kernels_mod.Bandwidth)
+        assert h.d2.tobytes() == pdist(x, "sqeuclidean").tobytes()
+        assert not h.d2.flags.writeable
+        assert h.distances_for(x) is h.d2
+
+    def test_threshold_is_the_contraction_block(self):
+        rng = np.random.default_rng(0)
+        assert median_bandwidth(rng.standard_normal((362, 2))).d2 is not None
+        assert median_bandwidth(rng.standard_normal((363, 2))).d2 is None
+        assert median_bandwidth(np.ones((1, 2))).d2 is None
+
+    def test_derived_values_carry_nothing(self):
+        h = median_bandwidth(np.random.default_rng(1).standard_normal((5, 2)))
+        for value in (float(h), 2.0 * h, -h, h + 0.0):
+            assert type(value) is float
+        assert repr(h) == repr(float(h))
+
+    @pytest.mark.parametrize("n", [2, 7, 200, 362])
+    def test_contract_from_shared_distances_is_bitwise(self, n, monkeypatch):
+        rng = np.random.default_rng(n + 1)
+        x, v = rng.standard_normal((n, 4)), rng.standard_normal((n, 3))
+        h = median_bandwidth(x)
+        expected = gram(x, x, float(h)) @ v
+        calls = []
+        monkeypatch.setattr(kernels_mod, "cdist",
+                            lambda *a: calls.append(1) or cdist(*a))
+        out = contract(x.copy(), h, v)
+        assert calls == []
+        assert out.tobytes() == expected.tobytes()
+
+    def test_other_positions_recompute(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x, v = rng.standard_normal((9, 2)), rng.standard_normal((9, 2))
+        h = median_bandwidth(x)
+        stored = h.d2.copy()
+        x[4, 1] += 0.25                     # mutated after the bandwidth
+        expected = gram(x, x, float(h)) @ v
+        calls = []
+        monkeypatch.setattr(kernels_mod, "cdist",
+                            lambda *a: calls.append(1) or cdist(*a))
+        np.testing.assert_array_equal(contract(x, h, v), expected)
+        assert h.distances_for(x) is None
+        assert h.distances_for(x[:8]) is None
+        h0 = median_bandwidth(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        assert h0.distances_for(np.array([[-0.0, 1.0], [2.0, 3.0]])) is None
+        assert len(calls) == 1
+        assert h.d2.tobytes() == stored.tobytes()
+        with pytest.raises(ValueError):
+            h.d2[0] = 1.0
+
+    def test_blocked_set_contracts_as_before(self, monkeypatch):
+        # Blocks of 8 rows at n = 20: the median keeps no distances, and
+        # the contraction builds one kernel block per row block.
+        n = 20
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 8 * n)
+        rng = np.random.default_rng(4)
+        x, v = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        h = median_bandwidth(x)
+        assert h.d2 is None
+        calls = []
+        monkeypatch.setattr(kernels_mod, "cdist",
+                            lambda *a: calls.append(1) or cdist(*a))
+        np.testing.assert_array_equal(contract(x, h, v),
+                                      contract(x, float(h), v))
+        assert len(calls) == 2 * 3
 
 
 class TestKernelConfig:

@@ -5,6 +5,7 @@ import gsvgd.kernels as kernels_mod
 import gsvgd.sampler as sampler_mod
 from gsvgd.dynamics import KINDS, DynamicsSpec
 from gsvgd.errors import NumericalError
+from gsvgd.integrator import euler_step, symmetric_split_step
 from gsvgd.kernels import KernelConfig, median_bandwidth
 from gsvgd.sampler import (blob_grad_log_density, check_finite,
                            gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
@@ -144,11 +145,11 @@ class TestGsvgdVelocity:
             blob_grad_log_density(x, h)
 
     def test_nonfinite_drift_reports_particle(self):
-        bad = TargetDensity(
-            1,
-            lambda X: np.zeros(X.shape[0]),
-            lambda X: np.where(X > 1.5, np.inf, -X),
-        )
+        def grad(X):
+            return np.where(X > 1.5, np.inf, -X)
+
+        bad = TargetDensity(1, lambda X: (-0.5 * np.sum(X ** 2, axis=1),
+                                          grad(X)), grad)
         spec = DynamicsSpec("LD", 1)
         x = np.array([[0.0], [2.0]])
         with pytest.raises(NumericalError) as exc:
@@ -435,3 +436,90 @@ class TestResampleMomentum:
         with pytest.raises(ValueError):
             resample_momentum(x, DynamicsSpec("HMC", 1, sigma2=0.0),
                               np.random.default_rng(0))
+
+
+FIELDS = (gsvgd_velocity, gsvgd_velocity_alt, parvi_blob_velocity)
+
+
+def count_pairwise_passes(monkeypatch):
+    """Log each ``pdist`` and ``cdist`` the kernel layer makes."""
+    calls = []
+    for name in ("pdist", "cdist"):
+        real = getattr(kernels_mod, name)
+        monkeypatch.setattr(
+            kernels_mod, name,
+            lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+class TestSharedPairwisePass:
+    """The median bandwidth's squared distances reach the field's
+    contraction when ``h`` is passed on unchanged."""
+
+    @pytest.mark.parametrize("n", [2, 7, 200, 362])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fields_are_bitwise_equal_with_float_h(self, kind, n):
+        spec, target = make_spec(kind)
+        X = np.random.default_rng(n).uniform(-1.5, 1.5, size=(n, spec.dim))
+        h = KernelConfig("median").bandwidth(X)
+        assert h.d2 is not None
+        for field in FIELDS:
+            np.testing.assert_array_equal(field(X, target, spec, h),
+                                          field(X, target, spec, float(h)))
+
+    def test_euler_step_makes_one_pairwise_pass(self, monkeypatch):
+        spec, target = make_spec("RHMC")
+        X = np.random.default_rng(1).uniform(-1.0, 1.0, size=(362, spec.dim))
+        calls = count_pairwise_passes(monkeypatch)
+        for field in FIELDS:
+            calls.clear()
+            h = KernelConfig("median").bandwidth(X)
+            euler_step(X, lambda Y: field(Y, target, spec, h), 0.05)
+            assert calls == ["pdist"], field.__name__
+
+    def test_split_step_shares_only_the_first_sub_state(self, monkeypatch):
+        spec, target = make_spec("HMC")
+        X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(50, spec.dim))
+        calls = count_pairwise_passes(monkeypatch)
+        h = KernelConfig("median").bandwidth(X)
+        symmetric_split_step(
+            X, lambda Y: gsvgd_velocity(Y, target, spec, h), 0.05, spec)
+        assert calls == ["pdist", "cdist", "cdist"]
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_blocked_set_keeps_one_pass_per_kernel_block(self, split,
+                                                         monkeypatch):
+        # Blocks of 8 rows at n = 20: 3 kernel blocks per field.
+        n = 20
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 8 * n)
+        spec, target = make_spec("HMC")
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(n, spec.dim))
+        calls = count_pairwise_passes(monkeypatch)
+        h = KernelConfig("median").bandwidth(X)
+
+        def field(Y):
+            return gsvgd_velocity(Y, target, spec, h)
+
+        if split:
+            symmetric_split_step(X, field, 0.05, spec)
+        else:
+            euler_step(X, field, 0.05)
+        assert calls == ["pdist"] + ["cdist"] * (3 * (3 if split else 1))
+
+    def test_stored_distances_survive_a_step(self):
+        spec, target = make_spec("RLD")
+        X = np.random.default_rng(4).uniform(-1.0, 1.0, size=(30, spec.dim))
+        h = KernelConfig("median").bandwidth(X)
+        stored = h.d2.tobytes()
+        for field in FIELDS:
+            euler_step(X, lambda Y: field(Y, target, spec, h), 0.05)
+        assert h.d2.tobytes() == stored
+
+    def test_non_float_bandwidth_is_converted(self):
+        # A float32 bandwidth is widened once, as before, so the field's
+        # scalars stay double precision.
+        target, spec = hmc_setup(2)
+        X = np.random.default_rng(5).standard_normal((6, 4))
+        np.testing.assert_array_equal(
+            gsvgd_velocity(X, target, spec, np.float32(0.75)),
+            gsvgd_velocity(X, target, spec, 0.75))

@@ -80,6 +80,48 @@ class TestGradLogDensity:
                 assert rel_err(g, fd_gradient(t.logp, x)) <= 1e-5, t.name
 
 
+class TestValueAndGrad:
+    """``value_and_grad_fn`` gives the score of ``grad_fn`` bit for bit and
+    the log density of a separate reference."""
+
+    @staticmethod
+    def logsumexp_reference(t):
+        m = t.max(axis=1)
+        return m + np.log(np.exp(t - m[:, None]).sum(axis=1))
+
+    def test_every_target_and_augmentation(self):
+        rng = np.random.default_rng(12)
+        targets = all_builtin_targets()
+        targets += [hmc_augmented(tri_crescent_target(), 0.7),
+                    nht_augmented(gaussian_mixture([[-1.0], [2.0]]), 1.3,
+                                  friction=0.4, mu=2.0)]
+        for t in targets:
+            X = rng.uniform(-3.0, 3.0, size=(25, t.dim))
+            L, G = t.value_and_grad_fn(X)
+            assert G.tobytes() == t.grad_fn(X).tobytes(), t.name
+            assert L.shape == (25,)
+            np.testing.assert_allclose(L, [t.logp(x) for x in X],
+                                       rtol=1e-14, atol=1e-14)
+
+    def test_crescent_log_density(self):
+        X = np.random.default_rng(13).uniform(-3.0, 3.0, size=(40, 2))
+        z = np.array([-2.0, 0.0, 2.0])
+        s = z[None, :] * X[:, 1:2] - X[:, :1] ** 2
+        terms = -X[:, :1] ** 4 / 10.0 - 0.5 * s ** 2
+        L, _ = tri_crescent_target().value_and_grad_fn(X)
+        np.testing.assert_allclose(
+            L, self.logsumexp_reference(terms) - np.log(3.0), atol=1e-12)
+
+    def test_mixture_log_density(self):
+        means = np.array([[0.0, 0.0], [3.0, 1.0], [-1.0, 2.0]])
+        w = np.array([0.2, 0.5, 0.3])
+        X = np.random.default_rng(14).uniform(-3.0, 3.0, size=(40, 2))
+        terms = np.log(w) - 0.5 * ((X[:, None, :] - means) ** 2).sum(-1) / 0.7
+        L, _ = gaussian_mixture(means, w, 0.7).value_and_grad_fn(X)
+        np.testing.assert_allclose(L, self.logsumexp_reference(terms),
+                                   atol=1e-12)
+
+
 class TestTriCrescent:
     def test_dim(self):
         assert tri_crescent_target().dim == 2
@@ -211,14 +253,19 @@ class TestBlockLayout:
 
 
 def counting(base):
-    """``base`` with a score that counts its evaluations in ``.calls``."""
+    """``base`` with evaluators that log each call in ``calls``: ``"vg"``
+    for ``value_and_grad_fn`` and ``"g"`` for ``grad_fn``."""
     calls = []
 
+    def value_and_grad_fn(X):
+        calls.append("vg")
+        return base.value_and_grad_fn(X)
+
     def grad_fn(X):
-        calls.append(1)
+        calls.append("g")
         return base.grad_fn(X)
 
-    target = TargetDensity(base.dim, base.logp_fn, grad_fn,
+    target = TargetDensity(base.dim, value_and_grad_fn, grad_fn,
                            base.exact_sampler, base.name)
     return target, calls
 
@@ -240,7 +287,7 @@ class TestScoreMemo:
         steps = 5
         for _ in range(steps):
             X = symmetric_split_step(X, fixed_h_field(target, spec), 0.05, spec)
-        assert len(calls) == steps + 1
+        assert calls == ["g"] * (steps + 1)
 
     def test_new_target_per_step_scores_twice_per_step(self):
         # As the BNN run does with a minibatch: a new base each iteration,
@@ -254,22 +301,73 @@ class TestScoreMemo:
             X = symmetric_split_step(
                 X, fixed_h_field(spec.augment(base), spec), 0.05, spec)
             calls += step_calls
-        assert len(calls) == 2 * steps
+        assert calls == ["g"] * (2 * steps)
 
     @pytest.mark.parametrize("kind", ["RLD", "RHMC"])
     def test_metric_and_drift_share_one_score(self, kind):
+        # The metric's energy and score and the drift's score all come
+        # from one value-and-gradient call.
         base, calls = counting(tri_crescent_target())
         spec = DynamicsSpec(kind, 2, riemann=RiemannConfig(base))
         X = np.random.default_rng(2).standard_normal((7, spec.dim))
         euler_step(X, fixed_h_field(spec.augment(base), spec), 0.05)
-        assert len(calls) == 1
+        assert calls == ["vg"]
+
+    def test_rhmc_split_run_evaluates_each_theta_once(self):
+        base, calls = counting(tri_crescent_target())
+        spec = DynamicsSpec("RHMC", 2, riemann=RiemannConfig(base))
+        target = spec.augment(base)
+        X = np.random.default_rng(7).standard_normal((6, 4))
+        steps = 4
+        for _ in range(steps):
+            X = symmetric_split_step(X, fixed_h_field(target, spec), 0.05, spec)
+        assert calls == ["vg"] * (steps + 1)
+
+    @pytest.mark.parametrize("kind", ["LD", "HMC", "NHT", "ThirdOrder"])
+    def test_score_only_kinds_never_ask_for_the_density(self, kind):
+        base, calls = counting(tri_crescent_target())
+        spec = DynamicsSpec(kind, 2, friction=0.3)
+        target = spec.augment(base)
+        X = np.random.default_rng(8).standard_normal((6, spec.dim))
+        for _ in range(3):
+            if spec.has_r:
+                X = symmetric_split_step(X, fixed_h_field(target, spec),
+                                         0.05, spec)
+            else:
+                X = euler_step(X, fixed_h_field(target, spec), 0.05)
+        assert calls and set(calls) == {"g"}
+
+    def test_logp_then_grad_is_one_evaluation(self):
+        target, calls = counting(gaussian_mixture([[0.0, 0.0], [3.0, 1.0]]))
+        X = np.random.default_rng(9).standard_normal((5, 2))
+        L = target.logp_many(X)
+        G = target.grad_many(X.copy())
+        assert target.logp_many(X).tobytes() == L.tobytes()
+        assert calls == ["vg"]
+        assert G.tobytes() == target.grad_fn(X).tobytes()
+
+    def test_grad_then_logp_evaluates_the_density(self):
+        target, calls = counting(tri_crescent_target())
+        X = np.random.default_rng(10).standard_normal((5, 2))
+        target.grad_many(X)
+        target.logp_many(X)
+        target.grad_many(X)
+        assert calls == ["g", "vg"]
+
+    def test_mutating_a_density_result_does_not_change_a_later_hit(self):
+        target, calls = counting(tri_crescent_target())
+        X = np.random.default_rng(11).standard_normal((4, 2))
+        fresh = target.value_and_grad_fn(X)[0]
+        target.logp_many(X)[:] = 7.0
+        np.testing.assert_array_equal(target.logp_many(X), fresh)
+        assert calls == ["vg", "vg"]
 
     def test_hit_is_bit_identical_to_a_fresh_evaluation(self):
         target, calls = counting(tri_crescent_target())
         X = np.random.default_rng(3).standard_normal((9, 2))
         first = target.grad_many(X)
         hit = target.grad_many(X.copy())
-        assert len(calls) == 1
+        assert calls == ["g"]
         assert hit.tobytes() == first.tobytes()
         assert hit.tobytes() == target.grad_fn(X).tobytes()
 
@@ -281,20 +379,20 @@ class TestScoreMemo:
         target.grad_many(X)[:] = 7.0
         target.grad_many(X)[:] = -7.0
         np.testing.assert_array_equal(target.grad_many(X), fresh)
-        assert len(calls) == 1
+        assert calls == ["g"]
 
     def test_equal_values_with_other_bytes_recompute(self):
         target, calls = counting(standard_gaussian(2))
         target.grad_many(np.array([[0.0, 1.0]]))
         target.grad_many(np.array([[-0.0, 1.0]]))
-        assert len(calls) == 2
+        assert calls == ["g"] * 2
         nan_a = np.array([[np.nan, 1.0]])
         nan_b = nan_a.copy()
         nan_b.view(np.uint64)[0, 0] ^= 1          # another NaN payload
         assert np.isnan(nan_b[0, 0])
         target.grad_many(nan_a)
         target.grad_many(nan_b)
-        assert len(calls) == 4
+        assert calls == ["g"] * 4
 
     def test_validates_before_the_memo(self):
         target = standard_gaussian(2)
