@@ -19,10 +19,11 @@ A run is described by a JSON config (all keys optional except where noted):
       "output_dir": "..."
     }
 
-Unknown keys are rejected.  A single root seed derives all randomness
-through a fixed spawn order (init, mcmc noise, resampling, minibatches,
-reference samples), so identical configs reproduce byte-identical outputs
-and the reporting cadence never perturbs the trajectory.
+Each key, its default and its check are one field of RunConfig; unknown
+keys are rejected.  A single root seed derives all randomness through a
+fixed spawn order (init, mcmc noise, resampling, minibatches, reference
+samples), so identical configs reproduce byte-identical outputs and the
+reporting cadence never perturbs the trajectory.
 
 Exit codes: 0 success, 2 config error, 3 numerical abort, 4 I/O error.
 """
@@ -34,7 +35,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -49,80 +51,13 @@ from .sampler import (gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
                       parvi_blob_velocity, resample_momentum)
 
 TARGETS = ("gauss", "gauss_mix", "tri_crescent", "bnn")
-METHODS = ("svgd", "gsvgd", "gsvgd_alt", "blob", "parvi_blob", "mcmc")
 INTEGRATORS = ("euler", "split")
-
-
-@dataclass
-class RunConfig:
-    """Fully-resolved run configuration."""
-
-    target: str = "gauss"
-    target_params: dict = field(default_factory=dict)
-    method: str = "svgd"
-    kind: str = "LD"
-    sigma2: float = 1.0
-    friction: float = 1.0
-    mu: float = 1.0
-    gamma: float = 1.0
-    d_scale: float = 1.5
-    c_offset: float = 0.5
-    kernel_mode: str = "median"
-    kernel_h: float | None = None
-    kernel_h_min: float = 1e-6
-    integrator: str = "euler"
-    eps: float = 0.1
-    iters: int = 100
-    n_particles: int = 50
-    seed: int = 0
-    trace_every: int = 10
-    resample_period: int = 0
-    theta_var: float = 0.01
-    mode_centers: list | None = None
-    mode_radius: float = 1.0
-    energy_ref: int = 1000
-    bnn_hidden: int = 50
-    bnn_batch: int = 0
-    data_path: str | None = None
-    data_seed: int = 0
-    output_dir: str = "out"
-
-    def to_dict(self) -> dict:
-        """Nested echo of the resolved configuration (round-trips)."""
-        return {
-            "target": self.target,
-            "target_params": self.target_params,
-            "method": self.method,
-            "dynamics": {"kind": self.kind, "sigma2": self.sigma2,
-                         "A": self.friction, "mu": self.mu, "gamma": self.gamma,
-                         "d_scale": self.d_scale, "c_offset": self.c_offset},
-            "kernel": {"mode": self.kernel_mode, "h": self.kernel_h,
-                       "h_min": self.kernel_h_min},
-            "integrator": self.integrator,
-            "run": {"eps": self.eps, "iters": self.iters,
-                    "n_particles": self.n_particles, "seed": self.seed},
-            "trace": {"every": self.trace_every},
-            "sampler": {"resample_period": self.resample_period},
-            "init": {"theta_var": self.theta_var},
-            "diagnostics": {"mode_centers": self.mode_centers,
-                            "mode_radius": self.mode_radius,
-                            "energy_ref": self.energy_ref},
-            "bnn": {"hidden": self.bnn_hidden, "batch": self.bnn_batch},
-            "data": {"path": self.data_path, "seed": self.data_seed},
-            "output_dir": self.output_dir,
-        }
-
-
-def _section(raw: dict, name: str, allowed: tuple[str, ...]) -> dict:
-    sec = raw.get(name, {})
-    if sec is None:
-        sec = {}
-    if not isinstance(sec, dict):
-        raise ConfigError(name, "must be an object")
-    for key in sec:
-        if key not in allowed:
-            raise ConfigError(f"{name}.{key}", "unknown key")
-    return sec
+# Each method's Stein field by name, looked up when a run starts so that a
+# profiler's rebinding is seen; "mcmc" steps the stochastic baseline instead.
+_FIELDS = {"svgd": "gsvgd_velocity", "gsvgd": "gsvgd_velocity",
+           "gsvgd_alt": "gsvgd_velocity_alt", "blob": "parvi_blob_velocity",
+           "parvi_blob": "parvi_blob_velocity", "mcmc": None}
+METHODS = tuple(_FIELDS)
 
 
 def _is_number(val) -> bool:
@@ -135,28 +70,23 @@ def _is_number(val) -> bool:
         return False
 
 
-def _number(sec: dict, section: str, key: str, default, *, minimum=None,
-            exclusive=False, allow_none=False):
-    val = sec.get(key, default)
-    if val is None and allow_none:
-        return None
-    if not _is_number(val):
-        raise ConfigError(f"{section}.{key}", "must be a finite number")
-    if minimum is not None:
-        if exclusive and val <= minimum:
-            raise ConfigError(f"{section}.{key}", f"must be > {minimum}")
-        if not exclusive and val < minimum:
-            raise ConfigError(f"{section}.{key}", f"must be >= {minimum}")
-    return float(val)
+# A check maps (value, dotted key) to the resolved value or raises a
+# ConfigError naming the key.
 
-
-def _integer(sec: dict, section: str, key: str, default, *, minimum=None):
-    val = sec.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{section}.{key}", "must be an integer")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{section}.{key}", f"must be >= {minimum}")
-    return int(val)
+def _number(minimum=None, exclusive=False, integer=False):
+    """The check for a finite number (an integer if ``integer``) at or above
+    ``minimum`` (above it if ``exclusive``), resolved to float (int)."""
+    def check(val, key: str):
+        if integer and (isinstance(val, bool) or not isinstance(val, int)):
+            raise ConfigError(key, "must be an integer")
+        if not integer and not _is_number(val):
+            raise ConfigError(key, "must be a finite number")
+        if minimum is not None and (
+                val <= minimum if exclusive else val < minimum):
+            raise ConfigError(key, f"must be {'>' if exclusive else '>='} "
+                                   f"{minimum}")
+        return int(val) if integer else float(val)
+    return check
 
 
 def _numbers(val, key: str, ndim: int):
@@ -172,6 +102,106 @@ def _numbers(val, key: str, ndim: int):
     return None if val is None else np.array(val, dtype=float).tolist()
 
 
+def _check(ok, message: str):
+    """The check that keeps a value for which ok(value) holds."""
+    def check(val, key: str):
+        if not ok(val):
+            raise ConfigError(key, message)
+        return val
+    return check
+
+
+def _one_of(options, message=None):
+    return _check(options.__contains__,
+                  message or f"must be one of {list(options)}")
+
+
+def _directory(val, key: str):
+    """A nonempty string: "" would write into the working directory."""
+    if not isinstance(val, str):
+        raise ConfigError(key, "must be a string")
+    if not val:
+        raise ConfigError(key, "must be a nonempty string")
+    return val
+
+
+_POSITIVE = _number(0, exclusive=True)
+_COUNT = _number(0, integer=True)
+_SIZE = _number(1, integer=True)
+
+
+def _key(section, key, check, default=MISSING, **kw):
+    """A RunConfig field read from ``section.key`` (the top-level ``key``
+    when section is None) and resolved by ``check``; its metadata "row" is
+    (key, dotted key, check)."""
+    dotted = key if section is None else f"{section}.{key}"
+    return field(default=default, **kw, metadata={
+        "section": section, "row": (key, dotted, check)})
+
+
+@dataclass
+class RunConfig:
+    """Fully-resolved run configuration, one field per config key, in the
+    order in which parse_config checks them."""
+
+    target: str = _key(None, "target", _one_of(TARGETS), "gauss")
+    target_params: dict = _key(None, "target_params", _check(
+        lambda v: isinstance(v, dict), "must be an object"),
+        default_factory=dict)
+    method: str = _key(None, "method", _one_of(METHODS), "svgd")
+    kind: str = _key("dynamics", "kind", _one_of(KINDS), "LD")
+    sigma2: float = _key("dynamics", "sigma2", _POSITIVE, 1.0)
+    friction: float = _key("dynamics", "A", _number(0), 1.0)
+    mu: float = _key("dynamics", "mu", _POSITIVE, 1.0)
+    gamma: float = _key("dynamics", "gamma", _number(), 1.0)
+    d_scale: float = _key("dynamics", "d_scale", _POSITIVE, 1.5)
+    c_offset: float = _key("dynamics", "c_offset", _number(), 0.5)
+    kernel_mode: str = _key("kernel", "mode", _one_of(
+        ("median", "fixed"), "must be 'median' or 'fixed'"), "median")
+    kernel_h: float | None = _key("kernel", "h", lambda v, k: (
+        v if v is None else _POSITIVE(v, k)), None)
+    kernel_h_min: float = _key("kernel", "h_min", _POSITIVE, 1e-6)
+    integrator: str = _key(None, "integrator", _one_of(INTEGRATORS), "euler")
+    eps: float = _key("run", "eps", _POSITIVE, 0.1)
+    iters: int = _key("run", "iters", _SIZE, 100)
+    n_particles: int = _key("run", "n_particles", _SIZE, 50)
+    seed: int = _key("run", "seed", _COUNT, 0)
+    trace_every: int = _key("trace", "every", _SIZE, 10)
+    resample_period: int = _key("sampler", "resample_period", _COUNT, 0)
+    theta_var: float = _key("init", "theta_var", _POSITIVE, 0.01)
+    mode_centers: list | None = _key("diagnostics", "mode_centers",
+                                     lambda v, k: _numbers(v, k, 2), None)
+    mode_radius: float = _key("diagnostics", "mode_radius", _POSITIVE, 1.0)
+    energy_ref: int = _key("diagnostics", "energy_ref", _COUNT, 1000)
+    bnn_hidden: int = _key("bnn", "hidden", _SIZE, 50)
+    bnn_batch: int = _key("bnn", "batch", _COUNT, 0)
+    data_path: str | None = _key("data", "path", _check(
+        lambda v: v is None or isinstance(v, str), "must be a string"), None)
+    data_seed: int = _key("data", "seed", _COUNT, 0)
+    output_dir: str = _key(None, "output_dir", _directory, "out")
+
+    def to_dict(self) -> dict:
+        """Nested echo of the resolved configuration (round-trips)."""
+        out: dict = {}
+        for section, rows in _GROUPS:
+            node = out if section is None else out.setdefault(section, {})
+            node.update((key, getattr(self, attr))
+                        for attr, (key, _, _) in rows)
+        return out
+
+
+# The fields in runs of one section, built once: (section, [(attribute,
+# (key, dotted key, check))]).  Each section's keys sit in one run.
+_GROUPS = [(section, [(f.name, f.metadata["row"]) for f in run])
+           for section, run in groupby(fields(RunConfig),
+                                       lambda f: f.metadata["section"])]
+# The keys allowed in each section, and at the top level (None).
+_KEYS = {section: frozenset(key for _, (key, _, _) in rows)
+         for section, rows in _GROUPS if section}
+_KEYS[None] = frozenset(section or key for section, rows in _GROUPS
+                        for _, (key, _, _) in rows)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run config, applying defaults."""
     try:
@@ -181,99 +211,26 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
 
-    top_allowed = ("target", "target_params", "method", "dynamics", "kernel",
-                   "integrator", "run", "trace", "sampler", "init",
-                   "diagnostics", "bnn", "data", "output_dir")
-    for key in raw:
-        if key not in top_allowed:
-            raise ConfigError(key, "unknown key")
-
+    # The first run is top-level, so unknown top-level keys are caught first.
     cfg = RunConfig()
-
-    cfg.target = raw.get("target", cfg.target)
-    if cfg.target not in TARGETS:
-        raise ConfigError("target", f"must be one of {list(TARGETS)}")
-    params = raw.get("target_params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("target_params", "must be an object")
-    cfg.target_params = params
-
-    cfg.method = raw.get("method", cfg.method)
-    if cfg.method not in METHODS:
-        raise ConfigError("method", f"must be one of {list(METHODS)}")
-
-    dyn = _section(raw, "dynamics",
-                   ("kind", "sigma2", "A", "mu", "gamma", "d_scale", "c_offset"))
-    cfg.kind = dyn.get("kind", cfg.kind)
-    if cfg.kind not in KINDS:
-        raise ConfigError("dynamics.kind", f"must be one of {list(KINDS)}")
-    cfg.sigma2 = _number(dyn, "dynamics", "sigma2", cfg.sigma2,
-                         minimum=0, exclusive=True)
-    cfg.friction = _number(dyn, "dynamics", "A", cfg.friction, minimum=0)
-    cfg.mu = _number(dyn, "dynamics", "mu", cfg.mu, minimum=0, exclusive=True)
-    cfg.gamma = _number(dyn, "dynamics", "gamma", cfg.gamma)
-    cfg.d_scale = _number(dyn, "dynamics", "d_scale", cfg.d_scale,
-                          minimum=0, exclusive=True)
-    cfg.c_offset = _number(dyn, "dynamics", "c_offset", cfg.c_offset)
-
-    ker = _section(raw, "kernel", ("mode", "h", "h_min"))
-    cfg.kernel_mode = ker.get("mode", cfg.kernel_mode)
-    if cfg.kernel_mode not in ("median", "fixed"):
-        raise ConfigError("kernel.mode", "must be 'median' or 'fixed'")
-    cfg.kernel_h = _number(ker, "kernel", "h", cfg.kernel_h, minimum=0,
-                           exclusive=True, allow_none=True)
-    cfg.kernel_h_min = _number(ker, "kernel", "h_min", cfg.kernel_h_min,
-                               minimum=0, exclusive=True)
-    if cfg.kernel_mode == "fixed" and cfg.kernel_h is None:
-        raise ConfigError("kernel.h", "required when kernel.mode is 'fixed'")
-
-    cfg.integrator = raw.get("integrator", cfg.integrator)
-    if cfg.integrator not in INTEGRATORS:
-        raise ConfigError("integrator", f"must be one of {list(INTEGRATORS)}")
-
-    run = _section(raw, "run", ("eps", "iters", "n_particles", "seed"))
-    cfg.eps = _number(run, "run", "eps", cfg.eps, minimum=0, exclusive=True)
-    cfg.iters = _integer(run, "run", "iters", cfg.iters, minimum=1)
-    cfg.n_particles = _integer(run, "run", "n_particles", cfg.n_particles,
-                               minimum=1)
-    cfg.seed = _integer(run, "run", "seed", cfg.seed, minimum=0)
-
-    trace = _section(raw, "trace", ("every",))
-    cfg.trace_every = _integer(trace, "trace", "every", cfg.trace_every,
-                               minimum=1)
-
-    samp = _section(raw, "sampler", ("resample_period",))
-    cfg.resample_period = _integer(samp, "sampler", "resample_period",
-                                   cfg.resample_period, minimum=0)
-
-    init = _section(raw, "init", ("theta_var",))
-    cfg.theta_var = _number(init, "init", "theta_var", cfg.theta_var,
-                            minimum=0, exclusive=True)
-
-    diag = _section(raw, "diagnostics",
-                    ("mode_centers", "mode_radius", "energy_ref"))
-    cfg.mode_centers = _numbers(diag.get("mode_centers"),
-                                "diagnostics.mode_centers", 2)
-    cfg.mode_radius = _number(diag, "diagnostics", "mode_radius",
-                              cfg.mode_radius, minimum=0, exclusive=True)
-    cfg.energy_ref = _integer(diag, "diagnostics", "energy_ref",
-                              cfg.energy_ref, minimum=0)
-
-    bnn_sec = _section(raw, "bnn", ("hidden", "batch"))
-    cfg.bnn_hidden = _integer(bnn_sec, "bnn", "hidden", cfg.bnn_hidden,
-                              minimum=1)
-    cfg.bnn_batch = _integer(bnn_sec, "bnn", "batch", cfg.bnn_batch, minimum=0)
-
-    data = _section(raw, "data", ("path", "seed"))
-    cfg.data_path = data.get("path", cfg.data_path)
-    if cfg.data_path is not None and not isinstance(cfg.data_path, str):
-        raise ConfigError("data.path", "must be a string")
-    cfg.data_seed = _integer(data, "data", "seed", cfg.data_seed, minimum=0)
-
-    out = raw.get("output_dir", cfg.output_dir)
-    if not isinstance(out, str):
-        raise ConfigError("output_dir", "must be a string")
-    cfg.output_dir = out
+    for section, rows in _GROUPS:
+        sec = raw if section is None else raw.get(section)
+        if sec is None:                       # absent or null: all defaults
+            sec = {}
+        if not isinstance(sec, dict):
+            raise ConfigError(section, "must be an object")
+        for key in sec:
+            if key not in _KEYS[section]:
+                raise ConfigError(f"{section}.{key}" if section else key,
+                                  "unknown key")
+        for attr, (key, dotted, check) in rows:
+            setattr(cfg, attr,
+                    check(sec.get(key, getattr(cfg, attr)), dotted))
+        # Checked with its section, before any fault in a later key.
+        if section == "kernel" and cfg.kernel_mode == "fixed" \
+                and cfg.kernel_h is None:
+            raise ConfigError("kernel.h",
+                              "required when kernel.mode is 'fixed'")
 
     # Cross-field consistency.
     if cfg.method in ("svgd", "blob") and cfg.kind != "LD":
@@ -305,6 +262,10 @@ def parse_config(text: str) -> RunConfig:
 
 _TARGET_KEYS = {"gauss": {"dim", "mean", "cov"}, "tri_crescent": set(),
                 "gauss_mix": {"means", "weights", "var"}, "bnn": set()}
+# The defaults of the gauss (a standard normal) and gauss_mix targets; the
+# modes command prints the means they give.
+_GAUSS_DIM = 2
+_MIX_MEANS = [[-2.0], [2.0]]
 
 
 def _build_base_target(cfg: RunConfig):
@@ -319,33 +280,23 @@ def _build_base_target(cfg: RunConfig):
         if mean is None and cov is not None:
             raise ConfigError("target_params.cov",
                               "requires target_params.mean")
-        dim = _integer(p, "target_params", "dim",
-                       2 if mean is None else len(mean), minimum=1)
+        dim = _SIZE(p.get("dim", _GAUSS_DIM if mean is None else len(mean)),
+                    "target_params.dim")
         if mean is not None and len(mean) != dim:
             raise ConfigError("target_params.dim", "does not match the mean")
         return targets.gaussian(mean or np.zeros(dim), cov or np.eye(dim)), None
     if cfg.target == "gauss_mix":
         means = _numbers(p.get("means"), "target_params.means", 2)
         return targets.gaussian_mixture(
-            means or [[-2.0], [2.0]],
+            means or _MIX_MEANS,
             _numbers(p.get("weights"), "target_params.weights", 1),
-            _number(p, "target_params", "var", 1.0, minimum=0, exclusive=True)
-        ), None
+            _POSITIVE(p.get("var", 1.0), "target_params.var")), None
     if cfg.target == "tri_crescent":
         return targets.tri_crescent_target(), None
     # bnn
     dataset = bnn_mod.load_regression_csv(cfg.data_path, cfg.data_seed)
     posterior = bnn_mod.BNNPosterior(dataset, cfg.bnn_hidden)
     return posterior.as_target(), (dataset, posterior)
-
-
-def _build_spec(cfg: RunConfig, base) -> DynamicsSpec:
-    riemann = None
-    if cfg.kind in RIEMANN_KINDS:
-        riemann = RiemannConfig(base, cfg.d_scale, cfg.c_offset)
-    return DynamicsSpec(cfg.kind, base.dim, sigma2=cfg.sigma2,
-                        friction=cfg.friction, mu=cfg.mu, gamma=cfg.gamma,
-                        riemann=riemann)
 
 
 def _resolve_centers(cfg: RunConfig, dim: int):
@@ -376,18 +327,14 @@ def _build_problem(cfg: RunConfig):
         key = "data.path" if cfg.target == "bnn" else "target_params"
         raise ConfigError(key, str(err)) from None
     try:
-        spec = _build_spec(cfg, base)
+        riemann = RiemannConfig(base, cfg.d_scale, cfg.c_offset) \
+            if cfg.kind in RIEMANN_KINDS else None
+        spec = DynamicsSpec(cfg.kind, base.dim, sigma2=cfg.sigma2,
+                            friction=cfg.friction, mu=cfg.mu, gamma=cfg.gamma,
+                            riemann=riemann)
     except ValueError as err:
         raise ConfigError("dynamics", str(err)) from None
     return base, bnn_extras, spec, _resolve_centers(cfg, base.dim)
-
-
-def _velocity_fn(method: str):
-    if method in ("svgd", "gsvgd"):
-        return gsvgd_velocity
-    if method == "gsvgd_alt":
-        return gsvgd_velocity_alt
-    return parvi_blob_velocity           # "blob" / "parvi_blob"
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +362,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     rng_init, rng_mcmc, rng_resample, rng_batch, rng_ref = (
         np.random.default_rng(s) for s in root.spawn(5))
 
-    dataset = posterior = None
-    if bnn_extras is not None:
-        dataset, posterior = bnn_extras
+    dataset, posterior = bnn_extras or (None, None)
     kernel = KernelConfig(cfg.kernel_mode, cfg.kernel_h, cfg.kernel_h_min)
 
     # Initial state: theta from its init distribution, momentum from its
@@ -470,7 +415,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     if posterior is not None:
         schedule = bnn_mod.MinibatchSchedule(dataset.n_train, cfg.bnn_batch,
                                              rng_batch)
-    velocity = _velocity_fn(cfg.method)
+    velocity = globals().get(_FIELDS[cfg.method])     # None for "mcmc"
 
     def field(Y):
         # The loop below sets target_it and the bandwidth h of each step.
@@ -534,15 +479,6 @@ def _write_summary(out_dir: str, summary: dict) -> None:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as err:
-            raise ConfigError("config", f"not valid UTF-8: {err}") from None
-    return parse_config(text)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gsvgd",
@@ -565,32 +501,36 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = _load_config(args.config)
-            if args.seed is not None:
-                cfg.seed = _integer({"seed": args.seed}, "run", "seed", None,
-                                    minimum=0)
-            summary = run_experiment(cfg, output_dir=args.out)
-            out_dir = args.out if args.out is not None else cfg.output_dir
-            print(json.dumps(summary["final"], sort_keys=True))
-            print(f"wrote {os.path.join(out_dir, 'summary.json')}")
+        if args.command == "modes":
+            # The stored crescent centers, or the default target's means.
+            centers = {"tri_crescent": diagnostics.tri_crescent_mode_centers(),
+                       "gauss": np.zeros((1, _GAUSS_DIM)),
+                       "gauss_mix": _MIX_MEANS}.get(args.target)
+            if centers is None:
+                raise ConfigError("target", "no stored mode centers for "
+                                            f"'{args.target}'")
+            for row in centers:
+                print(",".join(repr(float(v)) for v in row))
             return 0
+        # A byte-order mark is skipped, as bnn.load_regression_csv does.
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as err:
+                raise ConfigError("config",
+                                  f"not valid UTF-8: {err}") from None
+        cfg = parse_config(text)
         if args.command == "validate":
-            cfg = _load_config(args.config)
             print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
             return 0
-        # modes
-        if args.target == "tri_crescent":
-            centers = diagnostics.tri_crescent_mode_centers()
-        elif args.target == "gauss":
-            centers = np.zeros((1, 2))
-        elif args.target == "gauss_mix":
-            centers = np.asarray([[-2.0], [2.0]])  # default component means
-        else:
-            raise ConfigError("target",
-                              f"no stored mode centers for '{args.target}'")
-        for row in np.atleast_2d(centers):
-            print(",".join(repr(float(v)) for v in row))
+        if args.out is not None:
+            _directory(args.out, "--out")
+        if args.seed is not None:
+            cfg.seed = _COUNT(args.seed, "run.seed")
+        summary = run_experiment(cfg, output_dir=args.out)
+        print(json.dumps(summary["final"], sort_keys=True))
+        out_dir = args.out or cfg.output_dir
+        print(f"wrote {os.path.join(out_dir, 'summary.json')}")
         return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

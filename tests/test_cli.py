@@ -1,12 +1,14 @@
 import filecmp
 import json
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gsvgd import diagnostics
-from gsvgd.cli import main, parse_config, run_experiment
+from gsvgd import cli, diagnostics
+from gsvgd.cli import RunConfig, main, parse_config, run_experiment
 from gsvgd.dynamics import DynamicsSpec
 from gsvgd.errors import ConfigError, NumericalError
 from gsvgd.targets import TargetDensity
@@ -36,12 +38,50 @@ def small_run_config(out_dir, **overrides):
     return json.dumps(cfg)
 
 
+# The echo of an empty config: every key with its default.
+DEFAULTS = {
+    "target": "gauss",
+    "target_params": {},
+    "method": "svgd",
+    "dynamics": {"kind": "LD", "sigma2": 1.0, "A": 1.0, "mu": 1.0,
+                 "gamma": 1.0, "d_scale": 1.5, "c_offset": 0.5},
+    "kernel": {"mode": "median", "h": None, "h_min": 1e-6},
+    "integrator": "euler",
+    "run": {"eps": 0.1, "iters": 100, "n_particles": 50, "seed": 0},
+    "trace": {"every": 10},
+    "sampler": {"resample_period": 0},
+    "init": {"theta_var": 0.01},
+    "diagnostics": {"mode_centers": None, "mode_radius": 1.0,
+                    "energy_ref": 1000},
+    "bnn": {"hidden": 50, "batch": 0},
+    "data": {"path": None, "seed": 0},
+    "output_dir": "out",
+}
+
+
 class TestParseConfig:
     def test_minimal_fills_defaults_and_roundtrips(self):
         cfg = parse_config(minimal_config())
         assert cfg.eps == 0.1 and cfg.iters == 100 and cfg.kind == "LD"
         echo = json.dumps(cfg.to_dict())
         assert parse_config(echo).to_dict() == cfg.to_dict()
+
+    def test_empty_config_echoes_every_default(self):
+        # Compared as JSON text, so an int default that turns into a float
+        # fails too.
+        assert json.dumps(parse_config("{}").to_dict(), sort_keys=True) == \
+            json.dumps(DEFAULTS, sort_keys=True)
+
+    def test_module_docstring_lists_exactly_the_config_keys(self):
+        listed = set()
+        for key, value in re.findall(r'^ +"(\w+)": +(.*)$', cli.__doc__,
+                                     re.M):
+            if value.startswith("{") and not value.startswith("{..."):
+                listed |= {(key, sub) for sub in re.findall(r'"(\w+)"', value)}
+            else:
+                listed.add((None, key))
+        assert listed == {(f.metadata["section"], f.metadata["row"][0])
+                          for f in fields(RunConfig)}
 
     def test_zero_eps_names_key(self):
         with pytest.raises(ConfigError) as exc:
@@ -486,6 +526,42 @@ class TestMain:
         assert not out.exists()
         assert "row 1, column 2" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_bytes(b'{"target": "gauss"}')
+        marked.write_bytes(b'\xef\xbb\xbf{"target": "gauss"}')
+        assert main(["validate", "--config", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main(["validate", "--config", str(marked)]) == 0
+        assert capsys.readouterr() == expected
+        marked.write_bytes(b'\xef\xbb\xbf{"output_dir": "\xff"}')
+        assert main(["validate", "--config", str(marked)]) == 2
+        assert "config error: config: not valid UTF-8" in \
+            capsys.readouterr().err
+
+    def test_empty_output_dir_is_config_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(minimal_config(output_dir="",
+                                       run={"iters": 1, "n_particles": 2}))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config error: output_dir: must be a nonempty string" in \
+            capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_empty_out_flag_is_config_error(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(minimal_config(output_dir=str(tmp_path / "out"),
+                                       run={"iters": 1, "n_particles": 2}))
+        assert main(["run", "--config", str(path), "--out", ""]) == 2
+        assert "config error: --out: must be a nonempty string" in \
+            capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
 
@@ -516,6 +592,13 @@ class TestMain:
         assert main(["modes", "--target", "tri_crescent"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == ["2.0,2.0", "-2.0,-2.0", "0.0,2.0"]
+
+    @pytest.mark.parametrize("target,lines", [
+        ("gauss", ["0.0,0.0"]), ("gauss_mix", ["-2.0", "2.0"])])
+    def test_modes_of_the_default_targets(self, capsys, target, lines):
+        # The means of the targets that an empty target_params builds.
+        assert main(["modes", "--target", target]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_modes_unknown_target(self):
         assert main(["modes", "--target", "bnn"]) == 2

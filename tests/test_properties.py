@@ -14,11 +14,13 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import fields
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gsvgd.cli import INTEGRATORS, METHODS, TARGETS, main
+from gsvgd.cli import (_TARGET_KEYS, INTEGRATORS, METHODS, TARGETS,
+                       RunConfig, main)
 from gsvgd.dynamics import KINDS
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
@@ -66,15 +68,19 @@ SIZES = {("run", "iters"): 3, ("run", "n_particles"): 4,
          ("diagnostics", "energy_ref"): 6, ("target_params", "dim"): 4,
          ("bnn", "hidden"): 3, ("bnn", "batch"): 4}
 
+# Every config key as (section or None, key), read from RunConfig's fields,
+# so a new key is fuzzed without editing this file.
+TABLE = [(f.metadata["section"], f.metadata["row"][0])
+         for f in fields(RunConfig)]
+
+# Each top-level key and section, each key within a section, each target
+# parameter and two unknown keys.
 PATHS = sorted(
-    {(key,) for key in TINY}
-    | {(key, sub) for key, sec in TINY.items() if isinstance(sec, dict)
-       for sub in sec}
-    | set(SIZES)
-    | {("kernel", "h"), ("diagnostics", "mode_centers"), ("data", "path"),
-       ("target_params", "mean"), ("target_params", "cov"),
-       ("target_params", "means"), ("target_params", "weights"),
-       ("target_params", "var"), ("unknown",), ("run", "unknown")})
+    {(section or key,) for section, key in TABLE}
+    | {(section, key) for section, key in TABLE if section}
+    | {("target_params", key) for keys in _TARGET_KEYS.values()
+       for key in keys}
+    | set(SIZES) | {("unknown",), ("run", "unknown")})
 
 
 @st.composite
@@ -94,10 +100,10 @@ def one_key_replaced(draw):
     return cfg
 
 
-SECTION_KEYS = sorted({sub for sec in TINY.values() if isinstance(sec, dict)
-                       for sub in sec} | {"h", "mode_centers", "path"})
+SECTION_KEYS = sorted({key for section, key in TABLE if section})
 CONFIG_LIKE = st.dictionaries(
-    st.sampled_from(sorted(TINY)) | st.text(max_size=8),
+    st.sampled_from(sorted({section or key for section, key in TABLE}))
+    | st.text(max_size=8),
     st.integers() | json_values(st.integers())
     | st.dictionaries(st.sampled_from(SECTION_KEYS) | st.text(max_size=8),
                       st.integers() | json_values(st.integers()),
