@@ -9,9 +9,11 @@ Model (all in standardized data space):
 The precisions are parametrized in log space for unconstrained dynamics, so
 the prior terms carry the +log(gamma) and +log(lam) change-of-variable
 corrections.  Gradients are computed by hand-written backpropagation,
-batched over particles: a stack of N parameter vectors runs as one stacked
-forward/backward pass.  The ReLU subgradient at the kink takes the zero
-branch.
+batched over particles: a stack of N parameter vectors runs as one (B, N*H)
+GEMM of the inputs with a bias column, ``[X | 1]``, against every particle's
+``[W1; b1]`` (adjacent in the flattening), and two batched matmuls for the
+``[W1; b1]`` and ``w2`` gradients.  The ReLU subgradient at the kink takes
+the zero branch.
 
 Parameter vectors flatten in the fixed order
 ``W1 (row-major, d_in x hidden), b1, w2, b2, log_gamma, log_lambda``.
@@ -78,41 +80,56 @@ def init_params(rng: np.random.Generator, d_in: int,
     return flatten_params(w1, np.zeros(hidden), w2, 0.0, 0.0, 0.0)
 
 
-def _forward(w1, b1, w2, b2, X: Array):
-    """Pre-activations (N, B, H), activations and outputs (N, B) of a stack
-    of networks on the inputs X (B, d_in)."""
-    z = np.matmul(X, w1)
-    z += b1[:, None, :]
-    a = np.maximum(z, 0.0)
-    return z, a, np.matmul(a, w2[:, :, None])[..., 0] + b2[:, None]
+def _forward(W: Array, X1: Array, hidden: int):
+    """Activations (N, B, H), a view of the one (B, N*H) GEMM of X1 with
+    every particle's [W1; b1], and outputs (N, B) of a stack W (N, P) of
+    networks on the inputs ``X1 = [X | 1]`` (B, d_in + 1)."""
+    n = W.shape[0]
+    k = X1.shape[1] * hidden
+    wt = W[:, :k].reshape(n, -1, hidden).transpose(1, 0, 2).reshape(-1, n * hidden)
+    a = X1 @ wt
+    np.maximum(a, 0.0, out=a)
+    a = a.reshape(-1, n, hidden).transpose(1, 0, 2)
+    m = np.matmul(a, W[:, k:k + hidden, None])[..., 0]
+    m += W[:, k + hidden, None]
+    return a, m
 
 
-def _prior(W: Array, d_in: int, hidden: int):
-    """Log prior (N,) and its gradient (N, P) of stacked parameters W."""
-    w1, b1, w2, b2, lg, ll = unflatten_params(W, d_in, hidden)
+def _prior(W: Array, with_logp: bool = True):
+    """Log prior (N,), or None, and its gradient (N, P) of stacked
+    parameters W (N, P)."""
+    lg, ll = W[:, -2], W[:, -1]
     lam = np.exp(ll)
     gamma = np.exp(lg)
-    weights_sq = (np.sum(w1 ** 2, axis=(1, 2)) + np.sum(b1 ** 2, axis=1)
-                  + np.sum(w2 ** 2, axis=1) + b2 ** 2)
-    n_w = d_in * hidden + hidden + hidden + 1
-    out = 0.5 * n_w * (ll - _LOG_2PI) - 0.5 * lam * weights_sq
-    # Gamma(1, 0.1) on gamma and lam, in log space (+log Jacobians).
-    out += np.log(GAMMA_RATE) - GAMMA_RATE * gamma + lg
-    out += np.log(GAMMA_RATE) - GAMMA_RATE * lam + ll
+    n_w = W.shape[1] - 2                # every weight and bias
+    weights_sq = np.einsum("ij,ij->i", W[:, :n_w], W[:, :n_w])
     grad = -lam[:, None] * W
     grad[:, -2] = 1.0 - GAMMA_RATE * gamma
     grad[:, -1] = 0.5 * n_w - 0.5 * lam * weights_sq + 1.0 - GAMMA_RATE * lam
+    out = None
+    if with_logp:
+        out = 0.5 * n_w * (ll - _LOG_2PI) - 0.5 * lam * weights_sq
+        # Gamma(1, 0.1) on gamma and lam, in log space (+log Jacobians).
+        out += np.log(GAMMA_RATE) - GAMMA_RATE * gamma + lg
+        out += np.log(GAMMA_RATE) - GAMMA_RATE * lam + ll
     return out, grad
+
+
+def _stack(theta: Array, d_in: int, hidden: int) -> Array:
+    """Parameters (P,) or (N, P) as a float (N, P) stack."""
+    theta = np.asarray(theta, dtype=float)
+    unflatten_params(theta, d_in, hidden)       # checks the shape
+    return np.atleast_2d(theta)
 
 
 def log_prior(vec: Array, d_in: int, hidden: int = HIDDEN_DEFAULT) -> float:
     """Log prior of one flattened parameter vector (including all constants)."""
-    return float(_prior(np.asarray(vec, dtype=float)[None], d_in, hidden)[0][0])
+    return float(_prior(_stack(vec, d_in, hidden))[0][0])
 
 
 def grad_log_prior(vec: Array, d_in: int, hidden: int = HIDDEN_DEFAULT) -> Array:
     """Gradient of :func:`log_prior` in the flattened parametrization."""
-    return _prior(np.asarray(vec, dtype=float)[None], d_in, hidden)[1][0]
+    return _prior(_stack(vec, d_in, hidden), with_logp=False)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,51 +286,48 @@ class BNNPosterior:
         return param_dim(self.d_in, self.hidden)
 
     def _batch(self, idx):
-        X = self.dataset.x_train
-        y = self.dataset.y_train
-        if idx is None:
-            return X, y
-        idx = np.asarray(idx, dtype=int)
-        if idx.size == 0:
-            raise ValueError("batch must be nonempty")
-        return X[idx], y[idx]
+        """``([Xb | 1], yb)`` of the (mini)batch ``idx`` (None: all rows)."""
+        X, y = self.dataset.x_train, self.dataset.y_train
+        if idx is not None:
+            idx = np.asarray(idx, dtype=int)
+            if idx.size == 0:
+                raise ValueError("batch must be nonempty")
+            X, y = X[idx], y[idx]
+        return np.hstack([X, np.ones((len(X), 1))]), y
 
     def logp_many(self, W: Array, idx=None) -> Array:
         """Log prior plus the (rescaled) batch log-likelihood, per row of the
         (N, P) parameter stack W."""
-        return self._evaluate(W, idx, with_logp=True)[0]
+        return self._evaluate(W, self._batch(idx), with_logp=True)[0]
 
     def grad_many(self, W: Array, idx=None) -> Array:
         """Backpropagated gradient per row of W, in the flattening order."""
-        return self._evaluate(W, idx, with_logp=False)[1]
+        return self._evaluate(W, self._batch(idx), with_logp=False)[1]
 
-    def _evaluate(self, W: Array, idx, with_logp: bool):
-        """``(logp or None, grad)`` per row of W, from one forward pass."""
-        Xb, yb = self._batch(idx)
-        w1, b1, w2, b2, lg, _ = unflatten_params(W, self.d_in, self.hidden)
-        gamma = np.exp(lg)[:, None]
-        z, a, m = _forward(w1, b1, w2, b2, Xb)
+    def _evaluate(self, W: Array, batch, with_logp: bool):
+        """``(logp or None, grad)`` per row of W on ``batch = (X1, yb)``: with
+        ``dm_i`` the likelihood's derivative in particle i's outputs, its
+        [W1; b1] gradient is ``w2_i * ((X1^T * dm_i) @ (a_i > 0))`` and its w2
+        gradient ``dm_i @ a_i``, each added in place to the prior's."""
+        X1, yb = batch
+        n, h, b = W.shape[0], self.hidden, X1.shape[0]
+        k = X1.shape[1] * h
+        a, m = _forward(W, X1, h)
+        logp, grad = _prior(W, with_logp)
+        gamma = np.exp(W[:, -2])
+        scale = self.dataset.n_train / b
         resid = yb - m
-        scale = self.dataset.n_train / Xb.shape[0]
-        prior, prior_grad = _prior(W, self.d_in, self.hidden)
-        half_sq = 0.5 * gamma * resid ** 2
-        logp = None
+        rss = np.einsum("ij,ij->i", resid, resid)
         if with_logp:
-            loglik = np.sum((0.5 * (lg - _LOG_2PI))[:, None] - half_sq, axis=1)
-            logp = scale * loglik + prior
+            logp += scale * (0.5 * b * (W[:, -2] - _LOG_2PI) - 0.5 * gamma * rss)
 
-        dm = gamma * resid                          # dloglik/dm per point
-        dz = dm[:, :, None] * w2[:, None, :]
-        dz *= z > 0
-        n = dm.shape[0]
-        lik = np.concatenate([
-            np.matmul(Xb.T, dz).reshape(n, -1),
-            dz.sum(axis=1),
-            np.matmul(a.transpose(0, 2, 1), dm[:, :, None])[..., 0],
-            dm.sum(axis=1, keepdims=True),
-            np.sum(0.5 - half_sq, axis=1, keepdims=True),
-            np.zeros((n, 1))], axis=1)
-        return logp, scale * lik + prior_grad
+        dm = (scale * gamma)[:, None] * resid       # dloglik/dm, rescaled
+        grad[:, :k] += (np.matmul(X1.T * dm[:, None, :], a > 0)
+                        * W[:, None, k:k + h]).reshape(n, k)
+        grad[:, k:k + h] += np.matmul(dm[:, None, :], a)[:, 0]
+        grad[:, -3] += dm.sum(axis=1)
+        grad[:, -2] += scale * (0.5 * b - 0.5 * gamma * rss)
+        return logp, grad
 
     def log_posterior(self, vec: Array, idx=None) -> float:
         """:meth:`logp_many` of one parameter vector."""
@@ -324,10 +338,12 @@ class BNNPosterior:
         return self.grad_many(np.asarray(vec, dtype=float)[None], idx)[0]
 
     def as_target(self, idx=None) -> TargetDensity:
-        """View of this (mini)batch posterior as a sampling target."""
-        return TargetDensity(self.dim,
-                             lambda W: self._evaluate(W, idx, with_logp=True),
-                             lambda W: self.grad_many(W, idx), None, "bnn")
+        """View of this (mini)batch posterior as a sampling target; the
+        batch is indexed once, here."""
+        batch = self._batch(idx)
+        return TargetDensity(self.dim, lambda W: self._evaluate(W, batch, True),
+                             lambda W: self._evaluate(W, batch, False)[1],
+                             None, "bnn")
 
 
 class MinibatchSchedule:
@@ -373,9 +389,8 @@ def predict(theta: Array, x: Array, dataset: Dataset,
     X = x[None, :] if single else x
     if X.shape[1] != dataset.d_in:
         raise ValueError(f"input dim {X.shape[1]} != dataset dim {dataset.d_in}")
-    w1, b1, w2, b2, _, _ = unflatten_params(np.atleast_2d(theta),
-                                            dataset.d_in, hidden)
-    m = _forward(w1, b1, w2, b2, dataset.standardize_x(X))[2]
+    X1 = np.hstack([dataset.standardize_x(X), np.ones((len(X), 1))])
+    m = _forward(_stack(theta, dataset.d_in, hidden), X1, hidden)[1]
     preds = m * dataset.targ_std + dataset.targ_mean
     if single:
         preds = preds[:, 0]
@@ -393,9 +408,10 @@ def predictive_log_likelihood(theta: Array, dataset: Dataset,
     if dataset.n_test == 0:
         raise ValueError("dataset has an empty test split")
     y_std = (dataset.y_test - dataset.targ_mean) / dataset.targ_std
-    w1, b1, w2, b2, lg, _ = unflatten_params(np.atleast_2d(theta),
-                                             dataset.d_in, hidden)
-    m = _forward(w1, b1, w2, b2, dataset.x_test)[2]
+    theta = _stack(theta, dataset.d_in, hidden)
+    X1 = np.hstack([dataset.x_test, np.ones((dataset.n_test, 1))])
+    m = _forward(theta, X1, hidden)[1]
+    lg = theta[:, -2]
     logp = ((0.5 * (lg - _LOG_2PI))[:, None]
             - (0.5 * np.exp(lg))[:, None] * (y_std - m) ** 2)
     mx = logp.max(axis=0)

@@ -352,8 +352,9 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     Returns the summary dict.  Raises ConfigError, NumericalError (with the
     aborting iteration) or OSError.
     """
+    out_dir = _directory(cfg.output_dir if output_dir is None else output_dir,
+                         "output_dir")
     base, bnn_extras, spec, centers = _build_problem(cfg)
-    out_dir = output_dir if output_dir is not None else cfg.output_dir
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
 

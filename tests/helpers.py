@@ -206,6 +206,22 @@ def gauss_hermite_stein_expectation(target, spec, x0, h, n_nodes=60):
     return total
 
 
+def crescent_score(point):
+    """Score of the tri-crescent mixture at one point, from the component
+    formula of its docstring: component i has log density
+    ``t_i = -x**4/10 - (z_i*y - x**2)**2/2`` with z_i in {-2, 0, 2}, and
+    the score is the softmax of the t_i times each component's gradient."""
+    x, y = (float(v) for v in point)
+    t, grads = [], []
+    for z in (-2.0, 0.0, 2.0):
+        s = z * y - x ** 2
+        t.append(-x ** 4 / 10.0 - 0.5 * s ** 2)
+        grads.append(np.array([-0.4 * x ** 3 + 2.0 * x * s, -z * s]))
+    top = max(t)
+    weights = [np.exp(ti - top) for ti in t]
+    return sum(w * g for w, g in zip(weights, grads)) / sum(weights)
+
+
 # ---------------------------------------------------------------------------
 # Per-vector BNN oracle: one network at a time, the model written out in the
 # ``gsvgd.bnn`` docstring (flattening W1 row-major, b1, w2, b2, log_gamma,

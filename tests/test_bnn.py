@@ -184,8 +184,17 @@ BATCHES = {"full": None, "minibatch": np.array([7, 0, 22, 13, 5, 30, 18]),
            "single": np.array([11])}
 
 
+def assert_matches_oracle(actual, oracle):
+    """Agreement to 1e-12, relative and in the oracle's largest magnitude:
+    the stacked pass sums its GEMMs in another order than the oracle."""
+    oracle = np.asarray(oracle)
+    np.testing.assert_allclose(actual, oracle, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(oracle)))
+
+
 class TestBatchedScore:
-    """The stacked pass is pinned bit for bit to the per-vector oracle."""
+    """The stacked pass agrees with the per-vector oracle to 1e-12, and its
+    evaluators agree with each other bit for bit."""
 
     @pytest.mark.parametrize("batch", sorted(BATCHES))
     @pytest.mark.parametrize("n", [1, 2, 10])
@@ -195,9 +204,9 @@ class TestBatchedScore:
         ds, post, W = stacked_case(d_in, hidden, n)
         idx = BATCHES[batch]
         target = post.as_target(idx)
-        np.testing.assert_array_equal(target.grad_many(W), np.stack([
+        assert_matches_oracle(target.grad_many(W), np.stack([
             helpers.bnn_grad_log_posterior(ds, hidden, w, idx) for w in W]))
-        np.testing.assert_array_equal(target.logp_many(W), [
+        assert_matches_oracle(target.logp_many(W), [
             helpers.bnn_log_posterior(ds, hidden, w, idx) for w in W])
         L, G = target.value_and_grad_fn(W)
         assert G.tobytes() == target.grad_fn(W).tobytes()
@@ -211,10 +220,11 @@ class TestBatchedScore:
         xs = np.random.default_rng(n).uniform(-1.0, 1.0, size=(5, d_in))
         mean, per = predict(W, xs, ds, hidden=hidden)
         expected = helpers.bnn_predict(W, xs, ds, hidden)
-        np.testing.assert_array_equal(per, expected)
-        np.testing.assert_array_equal(mean, expected.mean(axis=0))
-        assert predictive_log_likelihood(W, ds, hidden=hidden) == \
-            helpers.bnn_predictive_log_likelihood(W, ds, hidden)
+        assert_matches_oracle(per, expected)
+        assert_matches_oracle(mean, expected.mean(axis=0))
+        assert_matches_oracle(predictive_log_likelihood(W, ds, hidden=hidden),
+                              helpers.bnn_predictive_log_likelihood(W, ds,
+                                                                    hidden))
 
     def test_relu_kink_takes_zero_branch(self):
         ds = identity_dataset([[1.0], [2.0], [-1.0]], [0.5, -0.5, 0.2])
@@ -229,13 +239,58 @@ class TestBatchedScore:
                                        0.2, -0.3))
         W = np.stack(vecs)
         grad = post.grad_many(W)
-        np.testing.assert_array_equal(grad, np.stack([
+        assert_matches_oracle(grad, np.stack([
             helpers.bnn_grad_log_posterior(ds, 3, w) for w in W]))
         # The dead unit's input weight and bias get the prior term only.
         lam = np.exp(W[:, -1])
         np.testing.assert_array_equal(grad[:, [1, 4]], -lam[:, None] * W[:, [1, 4]])
-        np.testing.assert_array_equal(post.logp_many(W), [
+        assert_matches_oracle(post.logp_many(W), [
             helpers.bnn_log_posterior(ds, 3, w) for w in W])
+
+    def test_strided_stack_scores_as_its_copy(self):
+        _, post, W = stacked_case(3, 50, 10)
+        assert not W.flags.c_contiguous
+        target = post.as_target(BATCHES["minibatch"])
+        C = np.ascontiguousarray(W)
+        assert target.grad_fn(W).tobytes() == target.grad_fn(C).tobytes()
+        assert (target.value_and_grad_fn(W)[0].tobytes()
+                == target.value_and_grad_fn(C)[0].tobytes())
+
+    def test_repeated_calls_are_bit_identical(self):
+        _, post, W = stacked_case(1, 50, 10)
+        target = post.as_target(BATCHES["minibatch"])
+        first_l, first_g = target.value_and_grad_fn(W)
+        for _ in range(3):
+            L, G = target.value_and_grad_fn(W)
+            assert L.tobytes() == first_l.tobytes()
+            assert G.tobytes() == first_g.tobytes()
+            assert target.grad_fn(W).tobytes() == first_g.tobytes()
+
+    def test_full_200_row_batch_matches_oracle(self):
+        ds = synthetic_dataset(n=222, d_in=3, seed=7)
+        assert ds.n_train == 200
+        post = BNNPosterior(ds, hidden=50)
+        W = 0.7 * np.random.default_rng(8).standard_normal((10, post.dim))
+        assert_matches_oracle(post.grad_many(W), np.stack([
+            helpers.bnn_grad_log_posterior(ds, 50, w) for w in W]))
+        assert_matches_oracle(post.logp_many(W), [
+            helpers.bnn_log_posterior(ds, 50, w) for w in W])
+
+    def test_target_indexes_its_batch_once(self, monkeypatch):
+        _, post, W = stacked_case(1, 4, 2)
+        calls = []
+        batch = BNNPosterior._batch
+
+        def counted(self, idx):
+            calls.append(idx)
+            return batch(self, idx)
+
+        monkeypatch.setattr(BNNPosterior, "_batch", counted)
+        target = post.as_target(BATCHES["minibatch"])
+        for k in range(3):
+            target.value_and_grad_fn(W + k)
+            target.grad_fn(W - k)
+        assert len(calls) == 1
 
     def test_stack_unflattens_to_views(self):
         W = np.arange(2.0 * param_dim(2, 3)).reshape(2, -1)

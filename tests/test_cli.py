@@ -562,6 +562,15 @@ class TestMain:
             capsys.readouterr().err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    def test_empty_output_dir_argument_is_config_error(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = parse_config(minimal_config(output_dir=str(tmp_path / "o"),
+                                          run={"iters": 1, "n_particles": 2}))
+        with pytest.raises(ConfigError, match="output_dir: must be a nonempty"):
+            run_experiment(cfg, output_dir="")
+        assert os.listdir(tmp_path) == []
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
 

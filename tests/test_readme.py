@@ -1,4 +1,5 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its Layout table
+names every module of the package."""
 
 import re
 from pathlib import Path
@@ -18,3 +19,13 @@ def test_library_example_runs(capsys):
     # theta mean stays near the target mean.
     np.testing.assert_allclose([float(v) for v in printed], [1.0, -1.0],
                                atol=0.25)
+
+
+def test_layout_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    layout = text[text.index("## Layout"):]
+    layout = layout[:layout.index("\n## ", 1)]
+    listed = set(re.findall(r"^\| `gsvgd\.(\w+)`", layout, re.M))
+    src = README.parent / "src" / "gsvgd"
+    modules = {p.stem for p in src.glob("*.py")} - {"__init__"}
+    assert listed == modules

@@ -3,12 +3,14 @@ import threading
 import numpy as np
 import pytest
 
+from gsvgd.diagnostics import tri_crescent_mode_centers
 from gsvgd.dynamics import KINDS, DynamicsSpec, RiemannConfig
 from gsvgd.integrator import euler_step, symmetric_split_step
 from gsvgd.sampler import gsvgd_velocity
 from gsvgd.targets import (TargetDensity, gaussian, gaussian_mixture,
                            standard_gaussian, tri_crescent_target)
 
+import helpers
 from helpers import fd_gradient, make_spec, rel_err
 
 
@@ -133,6 +135,22 @@ class TestTriCrescent:
         flipped = pts * np.array([1.0, -1.0])
         np.testing.assert_allclose(t.logp_many(pts), t.logp_many(flipped),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("points", ["uniform", "centers", "radius_10"])
+    def test_score_matches_oracle(self, points):
+        angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        X = {"uniform": np.random.default_rng(15).uniform(-3.0, 3.0,
+                                                          size=(200, 2)),
+             "centers": tri_crescent_mode_centers(),
+             "radius_10": 10.0 * np.stack([np.cos(angles), np.sin(angles)],
+                                          axis=1)}[points]
+        oracle = np.stack([helpers.crescent_score(x) for x in X])
+        t = tri_crescent_target()
+        # Near-cancelling y-components get the absolute floor 1e-12 of the
+        # set's largest score entry.
+        for G in (t.grad_fn(X), t.value_and_grad_fn(X)[1]):
+            np.testing.assert_allclose(G, oracle, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(oracle)))
 
     def test_no_overflow_at_large_inputs(self):
         t = tri_crescent_target()
