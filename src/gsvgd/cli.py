@@ -35,7 +35,9 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields
+from fnmatch import fnmatch
 from itertools import groupby
 
 import numpy as np
@@ -347,7 +349,11 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     The summary's ``status`` is ``"completed"`` for a finished run.  A run
     that aborts on a non-finite value writes ``"status": "aborted"`` and an
     ``abort`` record (iteration, particle or null, message) in its place,
-    then raises.
+    then raises.  A summary left in ``output_dir`` by an earlier run is
+    removed before anything is written, and the summary is written to a
+    temporary file that replaces ``summary.json`` whole, so a run that dies
+    on any other exception leaves no summary.  A completed run removes the
+    snapshots an earlier run left that it did not write itself.
 
     Returns the summary dict.  Raises ConfigError, NumericalError (with the
     aborting iteration) or OSError.
@@ -357,6 +363,8 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     base, bnn_extras, spec, centers = _build_problem(cfg)
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
+    with suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "summary.json"))
 
     # Root seed -> child streams, in this documented order.
     root = np.random.SeedSequence(cfg.seed)
@@ -429,7 +437,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     with diagnostics.TraceWriter(os.path.join(out_dir, "trace.csv"), columns,
                                  snapshot_dir=snap_dir) as writer:
         diagnostics.write_snapshot(
-            os.path.join(snap_dir, "snapshot_00000000.csv"), 0, X)
+            os.path.join(snap_dir, diagnostics.snapshot_name(0)), 0, X)
         summary["initial"] = row = metrics_of(X)
 
         target_it = spec.augment(base)
@@ -460,6 +468,10 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
                 row = metrics_of(X)
                 writer.record(it, row, snapshot=X)
 
+    written = {diagnostics.snapshot_name(it) for it in trace_iters | {0}}
+    for name in os.listdir(snap_dir):
+        if fnmatch(name, "snapshot_*.csv") and name not in written:
+            os.remove(os.path.join(snap_dir, name))
     summary["status"] = "completed"
     summary["final"] = row               # the trace row of iteration cfg.iters
     _write_summary(out_dir, summary)
@@ -467,11 +479,20 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
 
 
 def _write_summary(out_dir: str, summary: dict) -> None:
+    """Write ``summary.json`` whole or not at all: into a temporary file in
+    ``out_dir`` that then replaces it."""
     path = os.path.join(out_dir, "summary.json")
+    tmp = path + ".tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(summary, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.remove(tmp)
+            raise
     except OSError as err:
         raise OSError(f"failed to write summary {path}: {err}") from err
 

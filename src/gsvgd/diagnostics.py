@@ -101,6 +101,11 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def snapshot_name(iteration: int) -> str:
+    """File name of the snapshot of the given iteration."""
+    return f"snapshot_{iteration:08d}.csv"
+
+
 def write_snapshot(path, iteration: int, positions: Array) -> None:
     """Write one CSV row per particle: columns p0..p{D-1}, then iter."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -152,7 +157,7 @@ class TraceWriter:
             if self.snapshot_dir is None:
                 raise ValueError("snapshot requested but no snapshot_dir configured")
             write_snapshot(
-                os.path.join(self.snapshot_dir, f"snapshot_{iteration:08d}.csv"),
+                os.path.join(self.snapshot_dir, snapshot_name(iteration)),
                 iteration, snapshot)
 
     def close(self) -> None:

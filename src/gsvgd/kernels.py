@@ -13,6 +13,14 @@ matrix is held and each off-diagonal kernel pair is built once.  When the
 set is one block, the median bandwidth keeps the squared distances it
 selected from, and a contraction at that bandwidth over the same positions
 builds its kernel from them instead of computing them again.
+
+A larger set forms each kernel block with one GEMM on centred coordinates
+``x~ = x - mean(x)``: with ``q = -|x~|^2 / h``, the rows of
+``P = [(2/h) x~ | q | 1]`` and ``Q = [x~ | 1 | q]`` multiply to
+``-||x_i - x_j||^2 / h``.  The exponent's absolute rounding error grows
+with ``max|x~|^2 / h``, so this form is used only where that error stays
+below 1e-12 (``_GEMM_LIMIT``); a set beyond it, or a non-finite one, forms
+its blocks from ``cdist`` distances instead.
 """
 
 from __future__ import annotations
@@ -26,6 +34,17 @@ Array = np.ndarray
 
 # Kernel entries per row block of :func:`contract` (about 64 rows at N=2000).
 _BLOCK_ENTRIES = 1 << 17
+
+
+# Bound on ``max|x~|^2 / h * sqrt(D + 2)`` for the GEMM-formed blocks of
+# :func:`contract`.  The GEMM exponent's absolute rounding error was measured
+# at most ``c * eps * max|x~|^2 / h`` with ``c <= 2.3 * sqrt(D + 2)``: c = 3.9
+# at D=1, 5.0 at D=4, 9.3 at D=17, 17 at D=64 and 40 at D=612 (400
+# particles, a tenth of them in a tight cluster at distance 0 to 1000 from a
+# unit Gaussian cloud, against a long-double reference).  So the error stays
+# below 2.3 * 2.2e-16 * 2**9 = 2.6e-13 <= 1e-12.  At D=4 the bound admits
+# max|x~|^2 / h up to 209; SVGD runs on a 4-D Gaussian sit at 11 to 31.
+_GEMM_LIMIT = 2.0 ** 9
 
 
 def _rows_per_block(n: int) -> int:
@@ -98,6 +117,23 @@ def gram(Xa: Array, Xb: Array, h: float) -> Array:
     return np.exp(np.divide(K, -h, out=K), out=K)
 
 
+def _exponent_factors(X: Array, h: float):
+    """``(P, Q)`` with ``P @ Q.T = -||x_i - x_j||^2 / h`` from centred
+    coordinates, or None when ``X`` exceeds ``_GEMM_LIMIT`` or is not
+    finite."""
+    n, d = X.shape
+    with np.errstate(invalid="ignore", over="ignore"):
+        Xc = X - X.mean(axis=0)
+        q = np.einsum("ij,ij->i", Xc, Xc) / -h
+    if not -q.min() * np.sqrt(d + 2) <= _GEMM_LIMIT:
+        return None
+    P, Q = np.empty((n, d + 2)), np.empty((n, d + 2))
+    np.multiply(Xc, 2.0 / h, out=P[:, :d])
+    P[:, d], P[:, d + 1] = q, 1.0
+    Q[:, :d], Q[:, d], Q[:, d + 1] = Xc, 1.0, q
+    return P, Q
+
+
 def contract(X: Array, h: float, V: Array) -> Array:
     """``gram(X, X, h) @ V`` for (N, D) ``X`` and (N, m) ``V``.
 
@@ -107,9 +143,14 @@ def contract(X: Array, h: float, V: Array) -> Array:
     is swept in row blocks ``I = [i0, i1)``: the block's kernel rows are
     built against the trailing columns ``i0:`` only, and by symmetry
     ``K[I, i1:]`` also gives ``K[i1:, I]``, so each off-diagonal pair is
-    built once and both of its uses read it while it is in cache.  Blocking
-    reorders the sums, so the result agrees with one ``gram`` and one matmul
-    to rounding, not bit for bit.
+    built once and both of its uses read it while it is in cache.  Each
+    block is ``exp`` of one GEMM of the centred factors of
+    :func:`_exponent_factors`, with its diagonal set to exactly 1; where
+    those factors' rounding bound does not hold, the block is ``gram``
+    instead.  Blocking reorders the sums and the GEMM rounds the exponent
+    differently from ``cdist``, so the result agrees with one ``gram`` and
+    one matmul to about 1e-12 relative to ``max(1, |K @ V|)``, not bit for
+    bit.
     """
     n = X.shape[0]
     rows = _rows_per_block(n)
@@ -122,9 +163,15 @@ def contract(X: Array, h: float, V: Array) -> Array:
         np.fill_diagonal(K, 1.0)
         return K @ V
     S = np.zeros((n, V.shape[1]))
+    factors = _exponent_factors(X, h)
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        K = gram(X[i0:i1], X[i0:], h)
+        if factors is None:
+            K = gram(X[i0:i1], X[i0:], h)
+        else:
+            K = factors[0][i0:i1] @ factors[1][i0:].T
+            np.exp(K, out=K)
+            np.fill_diagonal(K[:, :i1 - i0], 1.0)
         S[i0:i1] += K @ V[i0:]
         S[i1:] += K[:, i1 - i0:].T @ V[i0:i1]
     return S

@@ -162,11 +162,14 @@ def parvi_blob_velocity(X: Array, target, spec: DynamicsSpec,
 
     ``g`` is the kernel-density score estimate above.  The field is the
     stationary drift minus ``(A+C)`` applied to the score estimate, so the
-    divergence of state-dependent kinds is kept.
+    divergence of state-dependent kinds is kept.  The drift is checked
+    before the score estimate's contractions, so a non-finite particle is
+    named before it spreads to every kernel entry.
     """
-    ghat = blob_grad_log_density(X, h)
+    h = _check_bandwidth(h)
     F, ac = spec.drift_many(X, target)
-    return check_finite(F, "drift") - ac.apply(ghat)
+    F = check_finite(F, "drift")
+    return F - ac.apply(blob_grad_log_density(X, h))
 
 
 def mcmc_step(X: Array, target, spec: DynamicsSpec, eps: float,

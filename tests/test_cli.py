@@ -289,6 +289,56 @@ class TestRunExperiment:
         assert (summary["abort"]["iteration"],
                 summary["abort"]["particle"]) == (3, 2)
 
+    def test_rerun_removes_the_snapshots_it_did_not_write(self, tmp_path):
+        out = tmp_path / "o"
+        run_experiment(parse_config(small_run_config(
+            out, run={"eps": 0.05, "iters": 40, "n_particles": 16,
+                      "seed": 7})))
+        (out / "snapshots" / "notes.txt").write_text("kept\n")
+        run_experiment(parse_config(small_run_config(out)))
+        run_experiment(parse_config(small_run_config(tmp_path / "fresh")))
+        snaps = sorted(os.listdir(out / "snapshots"))
+        assert snaps == sorted(os.listdir(tmp_path / "fresh" / "snapshots")
+                               + ["notes.txt"])
+        assert snaps[0] == "notes.txt"
+        assert snaps[-1] == "snapshot_00000020.csv"
+        for name in snaps[1:]:
+            assert (out / "snapshots" / name).read_bytes() == \
+                (tmp_path / "fresh" / "snapshots" / name).read_bytes()
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_run_dying_mid_loop_leaves_no_summary(self, tmp_path,
+                                                  monkeypatch, error):
+        out = tmp_path / "o"
+        run_experiment(parse_config(small_run_config(out)))
+        assert (out / "summary.json").exists()
+        real = diagnostics.write_snapshot
+
+        def write_snapshot(path, iteration, positions):
+            if iteration == 10:
+                raise error("stopped")
+            real(path, iteration, positions)
+
+        monkeypatch.setattr(diagnostics, "write_snapshot", write_snapshot)
+        with pytest.raises(error):
+            run_experiment(parse_config(small_run_config(out)))
+        assert sorted(os.listdir(out)) == ["snapshots", "trace.csv"]
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_summary_dump_leaves_no_summary(self, tmp_path,
+                                                   monkeypatch, error):
+        out = tmp_path / "o"
+        run_experiment(parse_config(small_run_config(out)))
+
+        def dump(obj, fh, **kw):
+            fh.write('{\n  "config": {')        # a truncated summary
+            raise error("stopped")
+
+        monkeypatch.setattr(cli.json, "dump", dump)
+        with pytest.raises(error):
+            run_experiment(parse_config(small_run_config(out)))
+        assert sorted(os.listdir(out)) == ["snapshots", "trace.csv"]
+
     def test_resample_period(self, tmp_path):
         cfg = parse_config(small_run_config(
             tmp_path / "o", sampler={"resample_period": 5}))

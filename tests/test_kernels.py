@@ -90,14 +90,109 @@ class TestContract:
         rows = []
         monkeypatch.setattr(kernels_mod, "gram",
                             lambda *a: rows.append(a[0].shape[0]) or gram(*a))
-        out = contract(x, h, v)
-        np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-13)
-        np.testing.assert_array_equal(contract(x, h, v), out)
-        # One gram per row block in each of the two calls.
         blocks = [min(self.ROWS, n - i0) for i0 in range(0, n, self.ROWS)]
-        assert rows == 2 * blocks
-        if n <= self.ROWS:
-            np.testing.assert_array_equal(out, expected)
+        assert kernels_mod._exponent_factors(x, h) is not None
+        # First with GEMM-formed blocks, then with the guard forcing gram.
+        for gemm in (True, False):
+            if not gemm:
+                monkeypatch.setattr(kernels_mod, "_GEMM_LIMIT", 0.0)
+            rows.clear()
+            out = contract(x, h, v)
+            np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-13)
+            np.testing.assert_array_equal(contract(x, h, v), out)
+            # One set is one gram per call; a blocked sweep builds no gram
+            # when the guard admits it, else one per row block.
+            if n <= self.ROWS or not gemm:
+                assert rows == 2 * blocks
+            else:
+                assert rows == []
+            if n <= self.ROWS:
+                np.testing.assert_array_equal(out, expected)
+
+
+def tight_far_cluster(n, d, distance, seed):
+    """A unit Gaussian cloud with a tenth of its particles in a tight
+    cluster at the given distance along the first axis."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    m = n // 10
+    x[:m] = 0.05 * rng.standard_normal((m, d))
+    x[:m, 0] += distance
+    return x
+
+
+def gram_sweep(x, h, v):
+    """``contract``'s symmetric row-block sweep with every block a gram."""
+    n = x.shape[0]
+    rows = kernels_mod._rows_per_block(n)
+    out = np.zeros((n, v.shape[1]))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        k = gram(x[i0:i1], x[i0:], h)
+        out[i0:i1] += k @ v[i0:]
+        out[i1:] += k[:, i1 - i0:].T @ v[i0:i1]
+    return out
+
+
+class TestGemmGuard:
+    """Blocked sets form kernel blocks by GEMM only while
+    ``max|x~|^2 / h * sqrt(D + 2)`` is within ``_GEMM_LIMIT``."""
+
+    @pytest.mark.parametrize("d", [1, 4, 17])
+    @pytest.mark.parametrize("distance", [10.0, 30.0])
+    def test_both_sides_of_the_limit(self, d, distance):
+        n = 363                                 # the smallest blocked set
+        x = tight_far_cluster(n, d, distance, seed=d)
+        v = np.random.default_rng(d + 1).standard_normal((n, 9))
+        xc = x - x.mean(axis=0)
+        scale = np.max(np.sum(xc * xc, axis=1)) * np.sqrt(d + 2)
+        limit = kernels_mod._GEMM_LIMIT
+        # Just under the limit: agreement with the dense product to 1e-12
+        # relative to max(1, |K @ V|).
+        h = scale / (0.99 * limit)
+        assert kernels_mod._exponent_factors(x, h) is not None
+        expected = gram(x, x, h) @ v
+        err = np.abs(contract(x, h, v) - expected)
+        assert np.max(err / np.maximum(1.0, np.abs(expected))) <= 1e-12
+        # Just over it: bitwise the gram sweep.
+        h = scale / (1.01 * limit)
+        assert kernels_mod._exponent_factors(x, h) is None
+        assert contract(x, h, v).tobytes() == gram_sweep(x, h, v).tobytes()
+
+    def test_gemm_kernel_has_a_unit_diagonal(self):
+        # Against the identity, contract returns its kernel matrix exactly.
+        n, d = 363, 4
+        x = tight_far_cluster(n, d, 10.0, seed=5)
+        h = median_bandwidth(x)
+        assert kernels_mod._exponent_factors(x, h) is not None
+        k = contract(x, h, np.eye(n))
+        assert np.all(np.diag(k) == 1.0)
+
+    @pytest.mark.parametrize("d", [1, 4, 17])
+    def test_median_bandwidth_admits_a_gaussian_cloud(self, d):
+        n = 363
+        x = np.random.default_rng(d).standard_normal((n, d))
+        v = np.random.default_rng(d + 1).standard_normal((n, 9))
+        h = median_bandwidth(x)
+        assert kernels_mod._exponent_factors(x, h) is not None
+        expected = gram(x, x, h) @ v
+        err = np.abs(contract(x, h, v) - expected)
+        assert np.max(err / np.maximum(1.0, np.abs(expected))) <= 1e-12
+
+    def test_fixed_small_bandwidth_takes_gram(self):
+        x = np.random.default_rng(7).standard_normal((363, 4))
+        v = np.random.default_rng(8).standard_normal((363, 5))
+        h = 1e-2
+        assert kernels_mod._exponent_factors(x, h) is None
+        assert contract(x, h, v).tobytes() == gram_sweep(x, h, v).tobytes()
+
+    def test_non_finite_set_takes_gram_without_warnings(self):
+        x = np.random.default_rng(9).standard_normal((363, 2))
+        x[5, 1], x[300, 0] = np.inf, -np.inf
+        v = np.ones((363, 1))
+        assert kernels_mod._exponent_factors(x, 0.5) is None
+        np.testing.assert_array_equal(contract(x, 0.5, v),
+                                      gram_sweep(x, 0.5, v))
 
 
 class TestSharedDistances:
@@ -159,8 +254,9 @@ class TestSharedDistances:
             h.d2[0] = 1.0
 
     def test_blocked_set_contracts_as_before(self, monkeypatch):
-        # Blocks of 8 rows at n = 20: the median keeps no distances, and
-        # the contraction builds one kernel block per row block.
+        # Blocks of 8 rows at n = 20: the median keeps no distances.  The
+        # contraction forms its 3 kernel blocks by GEMM, with no cdist, and
+        # with one cdist per block when the guard refuses the GEMM.
         n = 20
         monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 8 * n)
         rng = np.random.default_rng(4)
@@ -170,9 +266,13 @@ class TestSharedDistances:
         calls = []
         monkeypatch.setattr(kernels_mod, "cdist",
                             lambda *a: calls.append(1) or cdist(*a))
-        np.testing.assert_array_equal(contract(x, h, v),
-                                      contract(x, float(h), v))
-        assert len(calls) == 2 * 3
+        for cdist_calls in (0, 2 * 3):
+            if cdist_calls:
+                monkeypatch.setattr(kernels_mod, "_GEMM_LIMIT", 0.0)
+            calls.clear()
+            np.testing.assert_array_equal(contract(x, h, v),
+                                          contract(x, float(h), v))
+            assert len(calls) == cdist_calls
 
 
 class TestKernelConfig:

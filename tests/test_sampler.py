@@ -16,6 +16,9 @@ from helpers import (blob_score_reference, dense_AC, dense_drift, make_spec,
                      stein_term, svgd_reference)
 
 
+FIELDS = (gsvgd_velocity, gsvgd_velocity_alt, parvi_blob_velocity)
+
+
 def ld_setup(dim):
     return standard_gaussian(dim), DynamicsSpec("LD", dim)
 
@@ -234,6 +237,25 @@ class TestMultiBlock:
                                       v)
 
 
+class TestNonFiniteBlockedSet:
+    """A non-finite particle of a blocked set is named by the drift check,
+    which runs before any contraction: the centred coordinates of a GEMM
+    kernel block would spread it to every entry."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("kind", ["HMC", "RHMC"])
+    def test_abort_names_the_particle(self, kind, field, monkeypatch):
+        n = 20
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 8 * n)
+        spec, target = make_spec(kind, base=standard_gaussian(2))
+        x = np.random.default_rng(6).uniform(-1.0, 1.0, size=(n, spec.dim))
+        x[13, spec.r_slice.stop - 1] = np.inf
+        with pytest.raises(NumericalError) as exc:
+            field(x, target, spec, 0.9)
+        assert exc.value.particle == 13
+        assert "non-finite drift" in str(exc.value)
+
+
 class TestCheckFinite:
     def test_names_first_bad_row(self):
         x = np.zeros((4, 2))
@@ -438,9 +460,6 @@ class TestResampleMomentum:
                               np.random.default_rng(0))
 
 
-FIELDS = (gsvgd_velocity, gsvgd_velocity_alt, parvi_blob_velocity)
-
-
 def count_pairwise_passes(monkeypatch):
     """Log each ``pdist`` and ``cdist`` the kernel layer makes."""
     calls = []
@@ -489,22 +508,29 @@ class TestSharedPairwisePass:
     @pytest.mark.parametrize("split", [False, True])
     def test_blocked_set_keeps_one_pass_per_kernel_block(self, split,
                                                          monkeypatch):
-        # Blocks of 8 rows at n = 20: 3 kernel blocks per field.
+        # Blocks of 8 rows at n = 20: 3 kernel blocks per field.  They are
+        # formed by GEMM, with no cdist, and with one cdist per block when
+        # the guard refuses the GEMM.
         n = 20
         monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 8 * n)
         spec, target = make_spec("HMC")
         X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(n, spec.dim))
         calls = count_pairwise_passes(monkeypatch)
-        h = KernelConfig("median").bandwidth(X)
 
         def field(Y):
             return gsvgd_velocity(Y, target, spec, h)
 
-        if split:
-            symmetric_split_step(X, field, 0.05, spec)
-        else:
-            euler_step(X, field, 0.05)
-        assert calls == ["pdist"] + ["cdist"] * (3 * (3 if split else 1))
+        for gemm in (True, False):
+            if not gemm:
+                monkeypatch.setattr(kernels_mod, "_GEMM_LIMIT", 0.0)
+            calls.clear()
+            h = KernelConfig("median").bandwidth(X)
+            if split:
+                symmetric_split_step(X, field, 0.05, spec)
+            else:
+                euler_step(X, field, 0.05)
+            blocks = 0 if gemm else 3 * (3 if split else 1)
+            assert calls == ["pdist"] + ["cdist"] * blocks
 
     def test_stored_distances_survive_a_step(self):
         spec, target = make_spec("RLD")
