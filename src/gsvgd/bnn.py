@@ -122,16 +122,6 @@ def _stack(theta: Array, d_in: int, hidden: int) -> Array:
     return np.atleast_2d(theta)
 
 
-def log_prior(vec: Array, d_in: int, hidden: int = HIDDEN_DEFAULT) -> float:
-    """Log prior of one flattened parameter vector (including all constants)."""
-    return float(_prior(_stack(vec, d_in, hidden))[0][0])
-
-
-def grad_log_prior(vec: Array, d_in: int, hidden: int = HIDDEN_DEFAULT) -> Array:
-    """Gradient of :func:`log_prior` in the flattened parametrization."""
-    return _prior(_stack(vec, d_in, hidden), with_logp=False)[1][0]
-
-
 # ---------------------------------------------------------------------------
 # Datasets
 # ---------------------------------------------------------------------------
@@ -328,14 +318,6 @@ class BNNPosterior:
         grad[:, -3] += dm.sum(axis=1)
         grad[:, -2] += scale * (0.5 * b - 0.5 * gamma * rss)
         return logp, grad
-
-    def log_posterior(self, vec: Array, idx=None) -> float:
-        """:meth:`logp_many` of one parameter vector."""
-        return float(self.logp_many(np.asarray(vec, dtype=float)[None], idx)[0])
-
-    def grad_log_posterior(self, vec: Array, idx=None) -> Array:
-        """:meth:`grad_many` of one parameter vector."""
-        return self.grad_many(np.asarray(vec, dtype=float)[None], idx)[0]
 
     def as_target(self, idx=None) -> TargetDensity:
         """View of this (mini)batch posterior as a sampling target; the

@@ -38,9 +38,11 @@ import sys
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields
 from fnmatch import fnmatch
+from functools import cache
 from itertools import groupby
 
 import numpy as np
+import scipy
 
 from . import bnn as bnn_mod
 from . import diagnostics, targets
@@ -343,16 +345,38 @@ def _build_problem(cfg: RunConfig):
 # Experiment loop
 # ---------------------------------------------------------------------------
 
+# Environment variables that set the BLAS thread count.  The GEMMs of the
+# kernel layer may round differently under another count.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+@cache
+def _environment() -> str:
+    """The library versions and BLAS settings that a run's output bytes
+    depend on, as JSON; built once per process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return json.dumps({
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {var: os.environ.get(var)
+                         for var in _BLAS_THREAD_VARS}})
+
+
 def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     """Run one experiment; writes trace.csv, snapshots/ and summary.json.
 
     The summary's ``status`` is ``"completed"`` for a finished run.  A run
-    that aborts on a non-finite value writes ``"status": "aborted"`` and an
-    ``abort`` record (iteration, particle or null, message) in its place,
-    then raises.  A summary left in ``output_dir`` by an earlier run is
-    removed before anything is written, and the summary is written to a
-    temporary file that replaces ``summary.json`` whole, so a run that dies
-    on any other exception leaves no summary.  A completed run removes the
+    stopped by any exception once its output has begun (a non-finite value,
+    an I/O error, an interrupt) writes ``"status": "aborted"`` and an
+    ``abort`` record in its place (iteration, with 0 before the first step;
+    the particle, or null; the exception type; the message), then re-raises.
+    A summary left in ``output_dir`` by an earlier run is removed before
+    anything is written, and the summary is written to a temporary file
+    that replaces ``summary.json`` whole, so a run whose summary cannot be
+    written leaves none.  The summary also records the environment
+    (numpy, scipy and BLAS versions, BLAS thread variables): output bytes
+    repeat only within one environment.  A completed run removes the
     snapshots an earlier run left that it did not write itself.
 
     Returns the summary dict.  Raises ConfigError, NumericalError (with the
@@ -433,40 +457,49 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     trace_iters = set(range(cfg.trace_every, cfg.iters + 1, cfg.trace_every))
     trace_iters.add(cfg.iters)
 
-    summary = {"config": cfg.to_dict(), "iterations": cfg.iters}
-    with diagnostics.TraceWriter(os.path.join(out_dir, "trace.csv"), columns,
-                                 snapshot_dir=snap_dir) as writer:
-        diagnostics.write_snapshot(
-            os.path.join(snap_dir, diagnostics.snapshot_name(0)), 0, X)
-        summary["initial"] = row = metrics_of(X)
+    summary = {"config": cfg.to_dict(), "environment": json.loads(
+        _environment()), "iterations": cfg.iters}
+    it = 0
+    try:
+        with diagnostics.TraceWriter(os.path.join(out_dir, "trace.csv"),
+                                     columns, snapshot_dir=snap_dir) as writer:
+            diagnostics.write_snapshot(
+                os.path.join(snap_dir, diagnostics.snapshot_name(0)), 0, X)
+            summary["initial"] = row = metrics_of(X)
 
-        target_it = spec.augment(base)
-        for it in range(1, cfg.iters + 1):
-            try:
-                if schedule is not None:
-                    base_it = posterior.as_target(schedule.next())
-                    target_it = spec.augment(base_it)
-                if cfg.method == "mcmc":
-                    X = mcmc_step(X, target_it, spec, cfg.eps, rng_mcmc)
-                else:
-                    h = kernel.bandwidth(X)
-                    if cfg.integrator == "euler":
-                        X = euler_step(X, field, cfg.eps)
+            target_it = spec.augment(base)
+            for it in range(1, cfg.iters + 1):
+                try:
+                    if schedule is not None:
+                        base_it = posterior.as_target(schedule.next())
+                        target_it = spec.augment(base_it)
+                    if cfg.method == "mcmc":
+                        X = mcmc_step(X, target_it, spec, cfg.eps, rng_mcmc)
                     else:
-                        X = symmetric_split_step(X, field, cfg.eps, spec)
-                if cfg.resample_period and it % cfg.resample_period == 0:
-                    X = resample_momentum(X, spec, rng_resample)
-            except NumericalError as err:
-                message = f"run aborted on non-finite value: {err.message}"
-                summary["status"] = "aborted"
-                summary["abort"] = {"iteration": it, "particle": err.particle,
-                                    "message": message}
-                _write_summary(out_dir, summary)
-                raise NumericalError(message, iteration=it,
-                                     particle=err.particle) from err
-            if it in trace_iters:
-                row = metrics_of(X)
-                writer.record(it, row, snapshot=X)
+                        h = kernel.bandwidth(X)
+                        if cfg.integrator == "euler":
+                            X = euler_step(X, field, cfg.eps)
+                        else:
+                            X = symmetric_split_step(X, field, cfg.eps, spec)
+                    if cfg.resample_period and it % cfg.resample_period == 0:
+                        X = resample_momentum(X, spec, rng_resample)
+                except NumericalError as err:
+                    raise NumericalError(
+                        f"run aborted on non-finite value: {err.message}",
+                        iteration=it, particle=err.particle) from err
+                if it in trace_iters:
+                    row = metrics_of(X)
+                    writer.record(it, row, snapshot=X)
+    except BaseException as err:
+        numerical = isinstance(err, NumericalError)
+        summary["status"] = "aborted"
+        summary["abort"] = {
+            "iteration": it, "particle": err.particle if numerical else None,
+            "type": type(err).__name__,
+            "message": err.message if numerical else str(err)}
+        with suppress(OSError):
+            _write_summary(out_dir, summary)
+        raise
 
     written = {diagnostics.snapshot_name(it) for it in trace_iters | {0}}
     for name in os.listdir(snap_dir):

@@ -9,18 +9,24 @@ median rule is a documented choice; step-size tuning absorbs it.
 Every pairwise sum the samplers need is ``K @ V`` for the set's own kernel
 matrix ``K`` and a stacked right-hand side ``V``; :func:`contract` computes
 it in cache-sized symmetric row blocks, so at most one block of the kernel
-matrix is held and each off-diagonal kernel pair is built once.  When the
-set is one block, the median bandwidth keeps the squared distances it
-selected from, and a contraction at that bandwidth over the same positions
-builds its kernel from them instead of computing them again.
+matrix is held and each off-diagonal kernel pair is built once.
 
-A larger set forms each kernel block with one GEMM on centred coordinates
-``x~ = x - mean(x)``: with ``q = -|x~|^2 / h``, the rows of
-``P = [(2/h) x~ | q | 1]`` and ``Q = [x~ | 1 | q]`` multiply to
-``-||x_i - x_j||^2 / h``.  The exponent's absolute rounding error grows
-with ``max|x~|^2 / h``, so this form is used only where that error stays
-below 1e-12 (``_GEMM_LIMIT``); a set beyond it, or a non-finite one, forms
-its blocks from ``cdist`` distances instead.
+A one-block set (N <= 362) computes its squared distances once, with
+``pdist``: the median bandwidth selects from them and keeps them, and a
+contraction at that bandwidth over the same positions builds its kernel
+from them, bit for bit as ``gram`` would.
+
+A larger set computes no distances with ``pdist`` or ``cdist``.  Both the
+median and each kernel block come from one GEMM on centred coordinates
+``x~ = x - mean(x)``: the rows of ``[a x~ | q | 1]`` and ``[x~ | 1 | q]``
+multiply to ``a x~_i . x~_j + q_i + q_j``, which is ``||x_i - x_j||^2``
+for ``a = -2``, ``q = |x~|^2`` and ``-||x_i - x_j||^2 / h`` for
+``a = 2 / h``, ``q = -|x~|^2 / h``.  Its absolute rounding error grows with
+``max|x~|^2 / h``, so this form is used only where that bound keeps the
+kernel within 1e-12 and the bandwidth within about 4e-14 relative
+(``_GEMM_LIMIT``); a set beyond it, or a non-finite one, computes its
+distances with ``pdist`` (the median) or ``cdist`` (each block) instead, bit
+for bit as before.
 """
 
 from __future__ import annotations
@@ -37,9 +43,10 @@ _BLOCK_ENTRIES = 1 << 17
 
 
 # Bound on ``max|x~|^2 / h * sqrt(D + 2)`` for the GEMM-formed blocks of
-# :func:`contract`.  The GEMM exponent's absolute rounding error was measured
-# at most ``c * eps * max|x~|^2 / h`` with ``c <= 2.3 * sqrt(D + 2)``: c = 3.9
-# at D=1, 5.0 at D=4, 9.3 at D=17, 17 at D=64 and 40 at D=612 (400
+# :func:`contract` (and, as derived there, for the GEMM-formed distances of
+# :func:`median_bandwidth`).  The GEMM exponent's absolute rounding error was
+# measured at most ``c * eps * max|x~|^2 / h`` with ``c <= 2.3 * sqrt(D + 2)``:
+# c = 3.9 at D=1, 5.0 at D=4, 9.3 at D=17, 17 at D=64 and 40 at D=612 (400
 # particles, a tenth of them in a tight cluster at distance 0 to 1000 from a
 # unit Gaussian cloud, against a long-double reference).  So the error stays
 # below 2.3 * 2.2e-16 * 2**9 = 2.6e-13 <= 1e-12.  At D=4 the bound admits
@@ -82,33 +89,131 @@ class Bandwidth(float):
         return self.d2
 
 
+def _centred(X: Array):
+    """Centred coordinates ``x~ = x - mean(x)`` and their squared norms,
+    which are non-finite, without a warning, for a non-finite or huge
+    ``X``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        Xc = X - X.mean(axis=0)
+        return Xc, np.einsum("ij,ij->i", Xc, Xc)
+
+
+def _gemm_factors(Xc: Array, scale: float, q: Array):
+    """``(P, Q)`` with ``P = [scale x~ | q | 1]`` and ``Q = [x~ | 1 | q]``,
+    so ``P_i . Q_j = scale x~_i . x~_j + q_i + q_j``."""
+    n, d = Xc.shape
+    P, Q = np.empty((n, d + 2)), np.empty((n, d + 2))
+    np.multiply(Xc, scale, out=P[:, :d])
+    P[:, d], P[:, d + 1] = q, 1.0
+    Q[:, :d], Q[:, d], Q[:, d + 1] = Xc, 1.0, q
+    return P, Q
+
+
+def _gemm_admits(s_max: float, d: int, h: float) -> bool:
+    """True when ``max|x~|^2 / h * sqrt(D + 2)`` is within ``_GEMM_LIMIT``
+    (False for a non-finite set, or for h = 0)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return bool(s_max / h * np.sqrt(d + 2) <= _GEMM_LIMIT)
+
+
+def _gemm_distances(Xc: Array, s: Array) -> Array:
+    """The m = N(N-1)/2 off-diagonal squared distances of a blocked set, in
+    a buffer of exactly m entries, formed by GEMM from the centred
+    coordinates ``Xc`` and their squared norms ``s``: the rows of
+    ``[-2 x~ | s | 1]`` and ``[x~ | 1 | s]`` multiply to
+    ``||x_i - x_j||^2``.  Row block ``I = [i0, i1)`` writes its rectangle
+    against the columns ``i1:`` straight into the buffer, then the strict
+    upper triangle of its square part.  The order is not ``pdist``'s, and
+    an entry may round below 0 (:func:`_median_rule` allows for both).  A
+    set too large for its squares overflows without a warning, as in
+    ``pdist``."""
+    n = Xc.shape[0]
+    P, Q = _gemm_factors(Xc, -2.0, s)
+    buf = np.empty(n * (n - 1) // 2)
+    rows = _rows_per_block(n)
+    upper = {}
+    at = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n, rows):
+            i1 = min(i0 + rows, n)
+            b = i1 - i0
+            rect = buf[at:at + b * (n - i1)].reshape(b, n - i1)
+            np.matmul(P[i0:i1], Q[i1:].T, out=rect)
+            at += rect.size
+            if b not in upper:
+                r, c = np.triu_indices(b, 1)
+                upper[b] = r * b + c
+            np.take(P[i0:i1] @ Q[i0:i1].T, upper[b],
+                    out=buf[at:at + upper[b].size])
+            at += upper[b].size
+    return buf
+
+
+def _median_rule(d2: Array, n: int, h_min: float):
+    """``(h, g)`` from m squared distances: the bandwidth
+    ``max(med^2 / log N, h_min)`` and the geometric mean ``g`` of the one
+    or two middle values.
+
+    The middle values come from one partition at ``k = m // 2`` (for even
+    m the lower one is the maximum below k), run on the int64 view of
+    ``d2``, which it reorders: non-negative doubles order as their bit
+    patterns, and integer keys select faster than doubles.  A negative
+    rounding residue of a GEMM-formed distance sorts below every
+    non-negative key, so only the selected values are clamped at 0.  Only
+    they are square-rooted.
+    """
+    k = d2.size // 2
+    d2.view(np.int64).partition(k)
+    middle = [d2[k]] if d2.size % 2 else [d2[:k].max(), d2[k]]
+    roots = np.sqrt(np.maximum(middle, 0.0))
+    med = float(np.mean(roots))
+    return max(med ** 2 / np.log(n), h_min), float(roots[0] * roots[-1])
+
+
 def median_bandwidth(positions, h_min: float = 1e-6) -> Bandwidth:
     """Median-heuristic bandwidth ``med^2 / log N``, clamped below by h_min.
 
     ``med`` is the median of the m = N(N-1)/2 off-diagonal pairwise
-    distances, found by selection: one partition of the squared distances at
-    ``k = m // 2`` places the middle value at k (for even m, the lower one is
-    the maximum below k).  Only these are square-rooted, and their mean
-    equals ``np.median(pdist(X))`` bit for bit.  A one-particle set returns
-    the clamp of 1.0.  For a one-block set the selection partitions a copy,
-    and the result carries the distances (:class:`Bandwidth`).
+    distances, found by selection over their squares (:func:`_median_rule`).
+    A one-particle set returns the clamp of 1.0.
+
+    A one-block set selects from a copy of its ``pdist`` squared distances,
+    so ``med`` equals ``np.median(pdist(X))`` bit for bit, and the result
+    carries the distances (:class:`Bandwidth`).  A larger set selects from
+    squared distances formed by GEMM on centred coordinates
+    (:func:`_gemm_distances`), so ``h`` agrees with the ``pdist`` rule to
+    about 4e-14 relative; where the rounding bound below does not hold, it
+    selects from ``pdist`` distances instead, bit for bit as a one-block
+    set does.
     """
     positions = np.asarray(positions, dtype=float)
     if (positions.ndim != 2 or positions.shape[0] < 1
             or not np.all(np.isfinite(positions))):
         raise ValueError("positions must be a finite, nonempty (N, D) array")
-    n = positions.shape[0]
+    n, d = positions.shape
     if n == 1:
         return Bandwidth(max(1.0, h_min))
-    d2 = pdist(positions, "sqeuclidean")
-    shared = n <= _rows_per_block(n)
-    sel = d2.copy() if shared else d2
-    k = sel.size // 2
-    sel.partition(k)
-    middle = [sel[k]] if sel.size % 2 else [sel[:k].max(), sel[k]]
-    med = float(np.mean(np.sqrt(middle)))
-    h = max(med ** 2 / np.log(n), h_min)
-    return Bandwidth(h, d2, positions) if shared else Bandwidth(h)
+    if n <= _rows_per_block(n):
+        d2 = pdist(positions, "sqeuclidean")
+        return Bandwidth(_median_rule(d2.copy(), n, h_min)[0], d2, positions)
+    # Each GEMM distance is within c * eps * max|x~|^2 of the exact one, with
+    # c <= 2.3 * sqrt(D + 2) as measured for the exponent of contract's
+    # blocks (whose factors round once more, in the scaling by 2 / h).  A
+    # k-th smallest value moves no further than the largest perturbation, so
+    # each middle value a, b is within E = 2.3 * eps * sqrt(D + 2) *
+    # max|x~|^2 of its exact value; h = ((sqrt(a) + sqrt(b)) / 2)^2 / log N
+    # then moves by at most E / sqrt(a b) relative.  So the guard bounds
+    # max|x~|^2 * sqrt(D + 2) / (g / log N), with g = sqrt(a b) (g / log N
+    # is the unclamped h when m is odd), by _GEMM_LIMIT: the relative error
+    # of h stays below 2.3 * eps * 2**9 / log N, 3.4e-14 at N = 2000 and
+    # 4.4e-14 at N = 363.  Through g, the guard also refuses an even m whose
+    # lower middle value is (near) zero, where the square root would
+    # magnify the error.
+    Xc, s = _centred(positions)
+    h, g = _median_rule(_gemm_distances(Xc, s), n, h_min)
+    if not _gemm_admits(s.max(), d, g / np.log(n)):
+        h = _median_rule(pdist(positions, "sqeuclidean"), n, h_min)[0]
+    return Bandwidth(h)
 
 
 def gram(Xa: Array, Xb: Array, h: float) -> Array:
@@ -121,17 +226,10 @@ def _exponent_factors(X: Array, h: float):
     """``(P, Q)`` with ``P @ Q.T = -||x_i - x_j||^2 / h`` from centred
     coordinates, or None when ``X`` exceeds ``_GEMM_LIMIT`` or is not
     finite."""
-    n, d = X.shape
-    with np.errstate(invalid="ignore", over="ignore"):
-        Xc = X - X.mean(axis=0)
-        q = np.einsum("ij,ij->i", Xc, Xc) / -h
-    if not -q.min() * np.sqrt(d + 2) <= _GEMM_LIMIT:
+    Xc, s = _centred(X)
+    if not _gemm_admits(s.max(), X.shape[1], h):
         return None
-    P, Q = np.empty((n, d + 2)), np.empty((n, d + 2))
-    np.multiply(Xc, 2.0 / h, out=P[:, :d])
-    P[:, d], P[:, d + 1] = q, 1.0
-    Q[:, :d], Q[:, d], Q[:, d + 1] = Xc, 1.0, q
-    return P, Q
+    return _gemm_factors(Xc, 2.0 / h, s / -h)
 
 
 def contract(X: Array, h: float, V: Array) -> Array:
@@ -148,9 +246,9 @@ def contract(X: Array, h: float, V: Array) -> Array:
     :func:`_exponent_factors`, with its diagonal set to exactly 1; where
     those factors' rounding bound does not hold, the block is ``gram``
     instead.  Blocking reorders the sums and the GEMM rounds the exponent
-    differently from ``cdist``, so the result agrees with one ``gram`` and
-    one matmul to about 1e-12 relative to ``max(1, |K @ V|)``, not bit for
-    bit.
+    differently from ``cdist``, so for a larger set the result agrees with
+    one ``gram`` and one matmul to about 1e-12 relative to
+    ``max(1, |K @ V|)``; it is bit for bit only for a one-block set.
     """
     n = X.shape[0]
     rows = _rows_per_block(n)

@@ -53,30 +53,11 @@ class TargetDensity:
     _memo: list = field(default_factory=lambda: [None], init=False,
                         repr=False, compare=False)
 
-    def _check_point(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(
-                f"point has shape {x.shape}, expected ({self.dim},)")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("point has non-finite entries")
-        return x
-
     def _check_batch(self, X: Array) -> Array:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"batch has shape {X.shape}, expected (N, {self.dim})")
         return X
-
-    def logp(self, x: Array) -> float:
-        """Un-normalized log-density at a single point."""
-        x = self._check_point(x)
-        return float(self.value_and_grad_fn(x[None, :])[0][0])
-
-    def grad_logp(self, x: Array) -> Array:
-        """Analytic gradient of ``logp`` at a single point."""
-        x = self._check_point(x)
-        return self.grad_fn(x[None, :])[0]
 
     def logp_many(self, X: Array) -> Array:
         """``logp`` per row, or a copy of the stored one for the same input.

@@ -8,8 +8,53 @@ parameters, and the base target's ``logp``/``grad_logp`` for the metric.
 
 import numpy as np
 
+from gsvgd import bnn
 from gsvgd.dynamics import RIEMANN_KINDS, DynamicsSpec, RiemannConfig
 from gsvgd.targets import standard_gaussian, tri_crescent_target
+
+
+# Single-point views of the batched library APIs, for tests that check one
+# point at a time.  The library itself only evaluates batches.
+
+def _point(target, x):
+    """``x`` as a finite float point of ``target``'s dimension."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (target.dim,):
+        raise ValueError(
+            f"point has shape {x.shape}, expected ({target.dim},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point has non-finite entries")
+    return x
+
+
+def logp(target, x):
+    """Un-normalized log density of ``target`` at one point."""
+    return float(target.value_and_grad_fn(_point(target, x)[None, :])[0][0])
+
+
+def grad_logp(target, x):
+    """Score of ``target`` at one point."""
+    return target.grad_fn(_point(target, x)[None, :])[0]
+
+
+def log_posterior(post, vec, idx=None):
+    """``post.logp_many`` of one BNN parameter vector."""
+    return float(post.logp_many(np.asarray(vec, dtype=float)[None], idx)[0])
+
+
+def grad_log_posterior(post, vec, idx=None):
+    """``post.grad_many`` of one BNN parameter vector."""
+    return post.grad_many(np.asarray(vec, dtype=float)[None], idx)[0]
+
+
+def log_prior(vec, d_in, hidden):
+    """The library's BNN log prior of one flattened parameter vector."""
+    return float(bnn._prior(bnn._stack(vec, d_in, hidden))[0][0])
+
+
+def grad_log_prior(vec, d_in, hidden):
+    """Gradient of :func:`log_prior` in the flattened parametrization."""
+    return bnn._prior(bnn._stack(vec, d_in, hidden), with_logp=False)[1][0]
 
 
 def fd_gradient(f, x, step=1e-5):
@@ -95,11 +140,11 @@ def blob_score_reference(positions, h):
 def _metric(riemann, theta):
     """``Ginv(theta) = d_scale * max(sqrt(|U + c_offset|), floor)`` and its
     gradient (zero where the floor is active), with ``U = -logp``."""
-    u = -riemann.base.logp(theta) + riemann.c_offset
+    u = -logp(riemann.base, theta) + riemann.c_offset
     root = np.sqrt(abs(u))
     if root <= riemann.sqrt_floor:
         return riemann.d_scale * riemann.sqrt_floor, np.zeros_like(theta)
-    du = -riemann.base.grad_logp(theta)
+    du = -grad_logp(riemann.base, theta)
     grad = riemann.d_scale * np.sign(u) * du / (2.0 * root)
     return riemann.d_scale * root, grad
 
@@ -172,7 +217,7 @@ def fd_divergence(spec, x, base_step=1e-5):
 def dense_drift(spec, target, x):
     """Stationary drift ``(A + C) grad_logp + div(A + C)`` at one state."""
     A, C = dense_AC(spec, x)
-    return (A + C) @ target.grad_logp(x) + dense_divergence(spec, x)
+    return (A + C) @ grad_logp(target, x) + dense_divergence(spec, x)
 
 
 def stein_term(target, spec, x0, y, h, curl=True):

@@ -17,7 +17,8 @@ from gsvgd.diagnostics import (energy_distance, mode_occupancy,
                                tri_crescent_mode_centers)
 
 from helpers import (dense_AC, fd_divergence, fd_gradient,
-                     gauss_hermite_stein_expectation, rel_err, svgd_reference)
+                     gauss_hermite_stein_expectation, grad_log_posterior,
+                     grad_logp, log_posterior, logp, rel_err, svgd_reference)
 
 
 def report(n, name):
@@ -40,7 +41,7 @@ def test_criterion_01_svgd_reduction():
         h = float(rng.uniform(0.5, 3.0))
         v = g.gsvgd_velocity(x, target, spec, h)
         worst = max(worst, float(np.max(np.abs(v - svgd_reference(
-            x, target.grad_logp, h)))))
+            x, lambda v: grad_logp(target, v), h)))))
     assert worst <= 1e-12
     report(1, "svgd reduction")
 
@@ -91,15 +92,15 @@ def test_criterion_03_gradient_suites():
         pts = rng.uniform(-3.0, 3.0, size=(100, t.dim))
         grads = t.grad_many(pts)
         for x, grad in zip(pts, grads):
-            assert rel_err(grad, fd_gradient(t.logp, x)) <= 1e-5
+            assert rel_err(grad, fd_gradient(lambda v: logp(t, v), x)) <= 1e-5
 
     x = rng.uniform(-1.0, 1.0, size=(20, 1))
     y = np.sin(3.0 * x[:, 0]) + 0.1 * rng.standard_normal(20)
     post = bnn_mod.BNNPosterior(bnn_mod.make_dataset(x, y, seed=0), hidden=6)
     for _ in range(5):
         w = 0.5 * rng.standard_normal(post.dim)
-        fd = fd_gradient(post.log_posterior, w)
-        grad = post.grad_log_posterior(w)
+        fd = fd_gradient(lambda v: log_posterior(post, v), w)
+        grad = grad_log_posterior(post, w)
         denom = np.maximum(np.abs(fd), 1.0)
         assert np.max(np.abs(grad - fd) / denom) <= 1e-4
     report(3, "gradient suites")

@@ -215,7 +215,7 @@ class TestRunExperiment:
         assert "final" not in summary
         assert summary["abort"] == {
             "iteration": exc.value.iteration, "particle": None,
-            "message": exc.value.message}
+            "type": "NumericalError", "message": exc.value.message}
         assert "non-finite kernel bandwidth" in summary["abort"]["message"]
         assert summary["config"] == cfg.to_dict()
 
@@ -306,12 +306,21 @@ class TestRunExperiment:
             assert (out / "snapshots" / name).read_bytes() == \
                 (tmp_path / "fresh" / "snapshots" / name).read_bytes()
 
+    @staticmethod
+    def aborted_summary(out):
+        assert sorted(os.listdir(out)) == ["snapshots", "summary.json",
+                                           "trace.csv"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "aborted" and "final" not in summary
+        return summary["abort"]
+
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
-    def test_run_dying_mid_loop_leaves_no_summary(self, tmp_path,
-                                                  monkeypatch, error):
+    def test_run_dying_mid_loop_writes_an_aborted_summary(
+            self, tmp_path, monkeypatch, error):
+        # The completed summary of an earlier run into the same directory is
+        # replaced by an aborted one.
         out = tmp_path / "o"
         run_experiment(parse_config(small_run_config(out)))
-        assert (out / "summary.json").exists()
         real = diagnostics.write_snapshot
 
         def write_snapshot(path, iteration, positions):
@@ -322,7 +331,57 @@ class TestRunExperiment:
         monkeypatch.setattr(diagnostics, "write_snapshot", write_snapshot)
         with pytest.raises(error):
             run_experiment(parse_config(small_run_config(out)))
-        assert sorted(os.listdir(out)) == ["snapshots", "trace.csv"]
+        assert self.aborted_summary(out) == {
+            "iteration": 10, "particle": None, "type": error.__name__,
+            "message": "stopped"}
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt,
+                                       MemoryError])
+    def test_field_raising_mid_run_names_type_and_iteration(
+            self, tmp_path, monkeypatch, error):
+        # The split step evaluates the field 3 times per iteration, so the
+        # 8th call falls in iteration 3.
+        calls = []
+        real = cli.gsvgd_velocity
+
+        def velocity(*args):
+            calls.append(1)
+            if len(calls) == 8:
+                raise error("field stopped")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "gsvgd_velocity", velocity)
+        out = tmp_path / "o"
+        with pytest.raises(error, match="field stopped"):
+            run_experiment(parse_config(small_run_config(out)))
+        assert self.aborted_summary(out) == {
+            "iteration": 3, "particle": None, "type": error.__name__,
+            "message": "field stopped"}
+
+    def test_summary_stamps_the_environment(self, tmp_path, monkeypatch):
+        import scipy
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cli._environment.cache_clear()
+        try:
+            summary = run_experiment(parse_config(small_run_config(
+                tmp_path / "o")))
+            env = summary["environment"]
+            assert (env["numpy"], env["scipy"]) == (np.__version__,
+                                                    scipy.__version__)
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert env["blas"] == {"name": blas["name"],
+                                   "version": blas["version"]}
+            assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+            assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+            # Built once per process: a later change of the variables does
+            # not reach it.
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+            again = run_experiment(parse_config(small_run_config(
+                tmp_path / "p")))
+            assert again["environment"] == env
+        finally:
+            cli._environment.cache_clear()
 
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
     def test_failed_summary_dump_leaves_no_summary(self, tmp_path,
@@ -636,6 +695,19 @@ class TestMain:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "aborted"
         assert f"iteration={summary['abort']['iteration']}" in err
+
+    def test_io_error_mid_run_exit_code(self, tmp_path, capsys, monkeypatch):
+        def write_snapshot(path, iteration, positions):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(diagnostics, "write_snapshot", write_snapshot)
+        path = tmp_path / "cfg.json"
+        path.write_text(small_run_config(tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 4
+        assert "i/o error: disk full" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["abort"]["type"] == "OSError"
+        assert summary["abort"]["iteration"] == 0
 
     def test_seed_override_changes_output(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -47,9 +47,15 @@ class TestMedianBandwidth:
                                      (362, 4), (363, 4), (2000, 4), (11, 306)])
     def test_selection_equals_np_median_bitwise(self, n, d):
         # m = n(n-1)/2 pairs: odd for n = 2, 3, 11, 362, 363; even for
-        # n = 4, 200, 2000.  362 is the largest one-block set.
+        # n = 4, 200, 2000.  362 is the largest one-block set, which selects
+        # from pdist distances bit for bit; a larger set selects from GEMM
+        # distances, within the bound of TestBlockedMedian.
         x = np.random.default_rng(n * 1000 + d).standard_normal((n, d))
-        assert median_bandwidth(x) == median_reference(x)
+        if n <= 362:
+            assert median_bandwidth(x) == median_reference(x)
+        else:
+            assert median_bandwidth(x) == pytest.approx(median_reference(x),
+                                                         rel=1e-13, abs=0)
 
     def test_duplicate_rows_bitwise(self):
         rng = np.random.default_rng(5)
@@ -193,6 +199,81 @@ class TestGemmGuard:
         assert kernels_mod._exponent_factors(x, 0.5) is None
         np.testing.assert_array_equal(contract(x, 0.5, v),
                                       gram_sweep(x, 0.5, v))
+
+
+def median_sets(n, d, seed):
+    """Sets whose median rule is hard to get right: a Gaussian cloud, a
+    coarse lattice (many tied distances), a cloud with half its rows
+    repeated, one whose median distance is 0 (300 copies of one point, so
+    most pairs coincide), a coincident set and tight clusters near and far
+    from the cloud."""
+    rng = np.random.default_rng(seed)
+    cloud = rng.standard_normal((n, d))
+    half = cloud[:(n + 1) // 2]
+    return {"gaussian": cloud,
+            "ties": rng.integers(0, 3, size=(n, d)).astype(float),
+            "duplicates": np.concatenate([half, half])[:n],
+            "zero_median": np.concatenate([np.repeat(cloud[:1], 300, axis=0),
+                                           cloud[300:]]),
+            "coincident": np.full((n, d), 0.3),
+            "near_cluster": tight_far_cluster(n, d, 10.0, seed),
+            "far_cluster": tight_far_cluster(n, d, 30.0, seed)}
+
+
+def count_pdist(monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernels_mod, "pdist",
+                        lambda *a: calls.append(1) or pdist(*a))
+    return calls
+
+
+class TestBlockedMedian:
+    """A blocked set (N >= 363) selects its median from GEMM distances."""
+
+    @pytest.mark.parametrize("d", [1, 4, 17, 64])
+    @pytest.mark.parametrize("n", [363, 364])     # m odd, then even
+    def test_agrees_with_pdist_oracle(self, n, d):
+        for name, x in median_sets(n, d, seed=n + d).items():
+            ref = median_reference(x)
+            assert median_bandwidth(x) == pytest.approx(ref, rel=1e-13,
+                                                        abs=0), name
+
+    def test_even_m_with_zero_lower_middle_takes_pdist(self, monkeypatch):
+        # Groups of 210 and 190 coincident particles: of the m = 79800
+        # distances, exactly k = m / 2 are zero, so the lower middle value
+        # is 0.  A GEMM residue there would be magnified by the square
+        # root; the guard refuses it and the result is the pdist rule's.
+        x = np.zeros((400, 2))
+        x[210:] = [3.0, 1.0]
+        calls = count_pdist(monkeypatch)
+        assert median_bandwidth(x) == median_reference(x)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [1, 4, 17, 64])
+    def test_both_sides_of_the_limit(self, d, monkeypatch):
+        # The guard bounds max|x~|^2 * sqrt(D + 2) / h by _GEMM_LIMIT (odd
+        # m, unclamped h).  That ratio is scale-free, so the limit is moved
+        # to 1% on either side of this set's own ratio.
+        n = 363
+        x = tight_far_cluster(n, d, 10.0, seed=d)
+        ref = median_reference(x)
+        xc = x - x.mean(axis=0)
+        ratio = np.max(np.sum(xc * xc, axis=1)) * np.sqrt(d + 2) / ref
+        calls = count_pdist(monkeypatch)
+        limit = 1.01 * ratio
+        monkeypatch.setattr(kernels_mod, "_GEMM_LIMIT", limit)
+        bound = 2.3 * np.finfo(float).eps * limit / np.log(n)
+        assert median_bandwidth(x) == pytest.approx(ref, rel=bound, abs=0)
+        assert calls == []
+        monkeypatch.setattr(kernels_mod, "_GEMM_LIMIT", 0.99 * ratio)
+        assert median_bandwidth(x) == ref
+        assert calls == [1]
+
+    def test_one_block_sets_select_from_pdist(self, monkeypatch):
+        calls = count_pdist(monkeypatch)
+        for name, x in median_sets(362, 4, seed=1).items():
+            assert median_bandwidth(x) == median_reference(x), name
+        assert len(calls) == 7
 
 
 class TestSharedDistances:

@@ -3,17 +3,17 @@ import pytest
 
 import gsvgd.kernels as kernels_mod
 import gsvgd.sampler as sampler_mod
-from gsvgd.dynamics import KINDS, DynamicsSpec
+from gsvgd.dynamics import KINDS, DynamicsSpec, StructuredAC
 from gsvgd.errors import NumericalError
 from gsvgd.integrator import euler_step, symmetric_split_step
-from gsvgd.kernels import KernelConfig, median_bandwidth
+from gsvgd.kernels import KernelConfig, gram, median_bandwidth
 from gsvgd.sampler import (blob_grad_log_density, check_finite,
                            gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
                            parvi_blob_velocity, resample_momentum)
-from gsvgd.targets import TargetDensity, standard_gaussian
+from gsvgd.targets import TargetDensity, gaussian, standard_gaussian
 
-from helpers import (blob_score_reference, dense_AC, dense_drift, make_spec,
-                     stein_term, svgd_reference)
+from helpers import (blob_score_reference, dense_AC, dense_drift, grad_logp,
+                     make_spec, stein_term, svgd_reference)
 
 
 FIELDS = (gsvgd_velocity, gsvgd_velocity_alt, parvi_blob_velocity)
@@ -52,7 +52,7 @@ class TestGsvgdVelocity:
             x = rng.standard_normal((n, d))
             h = float(rng.uniform(0.5, 3.0))
             v = gsvgd_velocity(x, target, spec, h=h)
-            ref = svgd_reference(x, target.grad_logp, h)
+            ref = svgd_reference(x, lambda v: grad_logp(target, v), h)
             assert np.max(np.abs(v - ref)) <= 1e-12
 
     def test_matches_stein_operator_average(self):
@@ -120,7 +120,7 @@ class TestGsvgdVelocity:
         chunked = gsvgd_velocity(x, target, spec, h=h)
         np.testing.assert_allclose(chunked, single, rtol=0, atol=1e-12)
         if kind == "LD":
-            ref = svgd_reference(x, target.grad_logp, h)
+            ref = svgd_reference(x, lambda v: grad_logp(target, v), h)
         else:
             ref = np.array([np.mean([stein_term(target, spec, xi, xj, h)
                                      for xj in x], axis=0) for xi in x])
@@ -201,9 +201,67 @@ class TestStackedRightHandSide:
 
     @pytest.mark.parametrize("kind", ["LD", "HMC", "NHT", "ThirdOrder"])
     def test_constant_coefficients_stack_x_and_ones(self, kind, monkeypatch):
+        # The centred positions fold into the drift columns, and a constant
+        # coefficient adds one ones column:
+        # V = [F - (2/h) (A + C) x~ | 1 | per-particle coefficients].
         x, V = self.captured(kind, gsvgd_velocity, monkeypatch)
-        assert self.holds(V, np.ones(x.shape[0]))
-        assert all(self.holds(V, x[:, k]) for k in range(x.shape[1]))
+        spec, target = make_spec(kind, friction=0.4, sigma2=0.8, mu=1.5)
+        F, ac = spec.drift_many(x, target)
+        folded = F - ac.apply((x - x.mean(axis=0)) * (2.0 / 1.1))
+        per = [c for c, _ in ac.terms if np.ndim(c) == 2]
+        np.testing.assert_array_equal(
+            V, np.column_stack([folded, np.ones(x.shape[0])] + per))
+
+
+def uncentred_field(x, target, spec, h, curl=True):
+    """The Stein field with its kernel-gradient sums formed from uncentred
+    positions, ``sum_j K_ij c_j (x_i - x_j) = x_i (K c)_i - (K (c x))_i``,
+    over a dense kernel matrix."""
+    F, ac = spec.drift_many(x, target)
+    if not curl:
+        ac = StructuredAC(ac.a)
+    K = gram(x, x, h)
+    parts = [x[:, s] * (K @ (c * np.ones((len(x), 1)))) - K @ (c * x[:, s])
+             for c, sources in ac.terms for s in sources]
+    return (K @ F + (2.0 / h) * ac.combine(parts)) / len(x)
+
+
+class TestFoldedContraction:
+    """The field contracts ``F - (2/h) (A + C) x~`` over centred positions."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_particle_field_is_the_drift(self, kind):
+        spec, target = make_spec(kind, friction=0.4, sigma2=0.8, mu=1.5)
+        x = np.random.default_rng(31).uniform(-1.5, 1.5, size=(1, spec.dim))
+        F, _ = spec.drift_many(x, target)
+        for field in (gsvgd_velocity, gsvgd_velocity_alt):
+            assert field(x, target, spec, 0.9).tobytes() == F.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_offset_cloud_is_no_less_accurate(self, kind):
+        # A cloud at the mode of a Gaussian centred 100 from the origin.
+        # The uncentred sums cancel terms of size |x| ~ 100 (errors up to
+        # 2.6e-14 here); the centred ones do not (up to 5.6e-16).
+        base = gaussian([100.0, -100.0], [[1.0, 0.3], [0.3, 0.5]])
+        spec, target = make_spec(kind, friction=0.4, sigma2=0.8, mu=1.5,
+                                 base=base)
+        rng = np.random.default_rng(37)
+        x = rng.uniform(-1.5, 1.5, size=(40, spec.dim))
+        x[:, spec.theta_slice] += [100.0, -100.0]
+        h = 1.3
+        for field, curl in ((gsvgd_velocity, True),
+                            (gsvgd_velocity_alt, False)):
+            ref = np.array([np.mean(
+                [stein_term(target, spec, xi, xj, h, curl=curl)
+                 for xj in x], axis=0) for xi in x])
+            scale = np.maximum(1.0, np.abs(ref))
+            err = np.max(np.abs(field(x, target, spec, h) - ref) / scale)
+            old = np.max(np.abs(uncentred_field(x, target, spec, h, curl)
+                                - ref) / scale)
+            # Where no coefficient acts on theta (the A-only field of the
+            # momentum kinds) neither form cancels, and both sit at the
+            # rounding floor.
+            assert err <= max(old, 1e-15), (err, old)
 
 
 class TestMultiBlock:
@@ -372,7 +430,7 @@ class TestParviBlob:
         ghat = blob_grad_log_density(x, h=1.0)
         for i in range(5):
             A, C = dense_AC(spec, x[i])
-            direct = (A + C) @ (target.grad_logp(x[i]) - ghat[i])
+            direct = (A + C) @ (grad_logp(target, x[i]) - ghat[i])
             np.testing.assert_allclose(v[i], direct, atol=1e-12)
 
 
@@ -508,9 +566,10 @@ class TestSharedPairwisePass:
     @pytest.mark.parametrize("split", [False, True])
     def test_blocked_set_keeps_one_pass_per_kernel_block(self, split,
                                                          monkeypatch):
-        # Blocks of 8 rows at n = 20: 3 kernel blocks per field.  They are
-        # formed by GEMM, with no cdist, and with one cdist per block when
-        # the guard refuses the GEMM.
+        # Blocks of 8 rows at n = 20: 3 kernel blocks per field.  The median
+        # and the blocks are formed by GEMM, with no pdist or cdist; when the
+        # guard refuses the GEMM, the median takes one pdist and each block
+        # one cdist.
         n = 20
         monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 8 * n)
         spec, target = make_spec("HMC")
@@ -529,8 +588,8 @@ class TestSharedPairwisePass:
                 symmetric_split_step(X, field, 0.05, spec)
             else:
                 euler_step(X, field, 0.05)
-            blocks = 0 if gemm else 3 * (3 if split else 1)
-            assert calls == ["pdist"] + ["cdist"] * blocks
+            blocks = 3 * (3 if split else 1)
+            assert calls == ([] if gemm else ["pdist"] + ["cdist"] * blocks)
 
     def test_stored_distances_survive_a_step(self):
         spec, target = make_spec("RLD")
