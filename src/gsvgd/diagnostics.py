@@ -1,4 +1,9 @@
-"""Sample-quality and exploration metrics, plus trace/snapshot emission."""
+"""Sample-quality and exploration metrics, plus trace/snapshot emission.
+
+``pdist`` and ``cdist`` are bound to scipy on first call
+(:func:`gsvgd.kernels.deferred_distance`), so a run with no distance-based
+metric never loads ``scipy.spatial``.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +11,14 @@ import os
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from . import bnn
+from .kernels import deferred_distance
 
 Array = np.ndarray
+
+cdist = deferred_distance(globals(), "cdist")
+pdist = deferred_distance(globals(), "pdist")
 
 
 def mean_distance(Y: Array) -> float:

@@ -27,16 +27,48 @@ kernel within 1e-12 and the bandwidth within about 4e-14 relative
 (``_GEMM_LIMIT``); a set beyond it, or a non-finite one, computes its
 distances with ``pdist`` (the median) or ``cdist`` (each block) instead, bit
 for bit as before.
+
+``pdist``, ``cdist`` and ``squareform`` are bound to scipy on first call
+(:func:`deferred_distance`), not at import.  Importing ``scipy.spatial``
+also loads ``scipy.linalg``, which costs more time and memory than
+``gsvgd validate`` or a one-particle fixed-bandwidth run takes in all, and
+neither computes a pairwise distance.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 Array = np.ndarray
+
+
+def deferred_distance(namespace: dict, name: str):
+    """A stand-in for ``scipy.spatial.distance.<name>``, bound as ``name``
+    in the module ``namespace``.
+
+    Its first call imports the scipy function and rebinds ``name`` to it,
+    so later calls cost what a direct import would, and a process that
+    computes no pairwise distance never loads ``scipy.spatial`` (nor the
+    ``scipy.linalg`` it pulls in).  When ``name`` has been rebound in the
+    meantime (a test's wrapper around this stand-in), it is left as it is.
+    """
+
+    def first_call(*args, **kwargs):
+        func = getattr(importlib.import_module("scipy.spatial.distance"), name)
+        if namespace.get(name) is first_call:
+            namespace[name] = func
+        return func(*args, **kwargs)
+
+    first_call.__name__ = first_call.__qualname__ = name
+    return first_call
+
+
+cdist = deferred_distance(globals(), "cdist")
+pdist = deferred_distance(globals(), "pdist")
+squareform = deferred_distance(globals(), "squareform")
 
 # Kernel entries per row block of :func:`contract` (about 64 rows at N=2000).
 _BLOCK_ENTRIES = 1 << 17

@@ -27,8 +27,14 @@ centred positions ``x~ = x - mean(x)``, ``V`` holds
 ``(A + C)`` at ``x_i``: a ones column if some coefficient is constant, and
 each state-dependent coefficient.  That is D + 1 columns for a constant
 ``(A, C)``.  Centring keeps the sums free of cancellation
-between terms of size ``|x|``, and leaves a single particle's field exactly
-its drift.  The kernel is bit for bit ``gram``'s only for a one-block set
+between terms of size ``|x|``.
+
+With one particle the kernel is the 1 x 1 identity and its gradient
+vanishes, so every field returns its drift after the bandwidth and drift
+checks, and builds no kernel.  It returns ``F + 0.0``, which turns a
+``-0.0`` entry into ``+0.0`` as the self-term sum would.  One-particle SVGD
+is thus gradient ascent, and a one-particle split step classic leapfrog.
+The kernel is bit for bit ``gram``'s only for a one-block set
 (:mod:`gsvgd.kernels`); a field agrees with the dense per-pair formula to
 about 1e-12 at any size.
 Any non-finite intermediate aborts with the offending particle index rather
@@ -46,12 +52,23 @@ from .kernels import contract
 Array = np.ndarray
 
 
-def _check_bandwidth(h: float) -> float:
+def _check_bandwidth(h: float, X: Array) -> float:
     """``h`` as a float, once it is known to be finite and positive.  A
     float (a :class:`gsvgd.kernels.Bandwidth` included) is returned itself,
-    so the distances it carries reach the contraction."""
+    so the distances it carries reach the contraction.
+
+    A median bandwidth turns non-finite when finite positions' squared
+    distances overflow, so a non-finite ``h`` names the particle farthest
+    from the mean of ``X``.  ``X`` is scaled by its largest magnitude
+    first, so the search itself cannot overflow, and it emits no warning.
+    """
     if not np.isfinite(h):
-        raise NumericalError("non-finite kernel bandwidth")
+        with np.errstate(all="ignore"):
+            Y = np.asarray(X, dtype=float)
+            Y = Y / np.abs(Y).max()
+            Y -= Y.mean(axis=0)
+            far = int(np.argmax(np.einsum("ij,ij->i", Y, Y)))
+        raise NumericalError("non-finite kernel bandwidth", particle=far)
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
     return h if isinstance(h, float) else float(h)
@@ -97,12 +114,14 @@ def _stein_velocity(X: Array, F: Array, ac: StructuredAC, h: float) -> Array:
     ``F - (2/h) M x~``, then a ones column when some coefficient is
     constant, then each per-particle coefficient.  When every coefficient
     is constant, ``Mbar_i x~_i`` is the row sum times ``M x~_i``.  A single
-    particle has ``x~ = 0``, so its field is its drift exactly.
+    particle has ``x~ = 0`` and ``K = [[1]]``, so its field is ``F + 0.0``
+    (see the module docstring), returned without building the kernel.
     """
     n = X.shape[0]
-    # (2/h) x~, so that MX is (2/h) M x~.  The mean is taken as sum / n,
-    # bitwise np.mean without its per-call overhead, which counts at N=1.
-    Xc = X - X.sum(axis=0) / n
+    if n == 1:
+        return F + 0.0
+    # (2/h) x~, so that MX is (2/h) M x~.
+    Xc = X - X.mean(axis=0)
     Xc *= 2.0 / h
     MX = ac.apply(Xc)
     per = [c for c, _ in ac.terms if _per_particle(c)]
@@ -131,7 +150,7 @@ def gsvgd_velocity(X: Array, target, spec: DynamicsSpec, h: float) -> Array:
     general form weights the stationary drift by the kernel and applies
     (A + C) to the kernel gradient (repulsion).
     """
-    h = _check_bandwidth(h)
+    h = _check_bandwidth(h, X)
     F, ac = spec.drift_many(X, target)
     return _stein_velocity(X, check_finite(F, "drift"), ac, h)
 
@@ -144,7 +163,7 @@ def gsvgd_velocity_alt(X: Array, target, spec: DynamicsSpec,
     density evolution, but this one keeps rotating at equilibrium instead of
     vanishing, so it is a diagnostic/baseline variant, not the default.
     """
-    h = _check_bandwidth(h)
+    h = _check_bandwidth(h, X)
     F, ac = spec.drift_many(X, target)
     return _stein_velocity(X, check_finite(F, "drift"), StructuredAC(ac.a), h)
 
@@ -158,15 +177,22 @@ def blob_grad_log_density(X: Array, h: float) -> Array:
             + sum_j [ grad1_k(x_i, x_j) / sum_l k(x_j, x_l) ]
 
     Denominators are at least ``k(x_i, x_i) = 1``, so no guard is needed.
-    For a single particle the estimate is exactly zero.
+    The kernel gradient's differences are formed from centred positions
+    ``x~ = x - mean(x)``, as in the Stein field, so the sums cancel no terms
+    of size ``|x|``.  For a single particle the estimate is exactly zero,
+    and no kernel is built.
     """
-    h = _check_bandwidth(h)
-    KX, row_sum = _contract_blocks(X, h, [X, np.ones((X.shape[0], 1))])
-    # sum_j grad1_k(x_i, x_j) = -(2/h) (x_i * rowsum_i - K @ X)
-    term1 = -(2.0 / h) * (X * row_sum - KX) / row_sum
+    h = _check_bandwidth(h, X)
+    n = X.shape[0]
+    if n == 1:
+        return np.zeros(X.shape)
+    Xc = X - X.mean(axis=0)
+    KX, row_sum = _contract_blocks(X, h, [Xc, np.ones((n, 1))])
+    # sum_j grad1_k(x_i, x_j) = -(2/h) (x~_i * rowsum_i - K @ x~)
+    term1 = -(2.0 / h) * (Xc * row_sum - KX) / row_sum
     inv = 1.0 / row_sum
-    K_inv, KX_inv = _contract_blocks(X, h, [inv, X * inv])
-    term2 = -(2.0 / h) * (X * K_inv - KX_inv)
+    K_inv, KX_inv = _contract_blocks(X, h, [inv, Xc * inv])
+    term2 = -(2.0 / h) * (Xc * K_inv - KX_inv)
     return term1 + term2
 
 
@@ -178,11 +204,14 @@ def parvi_blob_velocity(X: Array, target, spec: DynamicsSpec,
     stationary drift minus ``(A+C)`` applied to the score estimate, so the
     divergence of state-dependent kinds is kept.  The drift is checked
     before the score estimate's contractions, so a non-finite particle is
-    named before it spreads to every kernel entry.
+    named before it spreads to every kernel entry.  A single particle's
+    estimate is zero, so its field is ``F + 0.0``, as the Stein field's.
     """
-    h = _check_bandwidth(h)
+    h = _check_bandwidth(h, X)
     F, ac = spec.drift_many(X, target)
     F = check_finite(F, "drift")
+    if X.shape[0] == 1:
+        return F + 0.0
     return F - ac.apply(blob_grad_log_density(X, h))
 
 

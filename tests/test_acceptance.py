@@ -6,6 +6,8 @@ report:  ``pytest -s tests/test_acceptance.py``.
 
 import json
 import os
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -215,6 +217,58 @@ def test_criterion_06_leapfrog_degeneracy():
 # 7. Mode exploration on the crescent mixture
 # ---------------------------------------------------------------------------
 
+# Criterion 7's configuration.  Its ten runs are independent, so they are
+# module-level functions that a process pool can map over the seeds.
+_C7_BUDGET, _C7_PARTICLES, _C7_RADIUS = 20_000, 200, 1.2
+
+
+def _c7_occupancy(theta):
+    return mode_occupancy(theta, tri_crescent_mode_centers(), _C7_RADIUS)[0]
+
+
+def _c7_rhmc_best_joint_occupancy(seed):
+    base, kernel = g.tri_crescent_target(), g.KernelConfig("median")
+    sigma2 = 4.0
+    spec = g.DynamicsSpec("RHMC", 2, sigma2=sigma2,
+                          riemann=g.RiemannConfig(base, 1.5, 0.5))
+    aug = spec.augment(base)
+    rng = np.random.default_rng(seed)
+    x = np.hstack([0.1 * rng.standard_normal((_C7_PARTICLES, 2)),
+                   np.sqrt(sigma2) * rng.standard_normal((_C7_PARTICLES, 2))])
+    best = -1.0
+    for it in range(1, _C7_BUDGET + 1):
+        h = kernel.bandwidth(x)
+        x = g.euler_step(
+            x, lambda y: g.gsvgd_velocity(y, aug, spec, h), 0.05)
+        if it % 50 == 0:
+            best = max(best, float(
+                _c7_occupancy(x[:, spec.theta_slice]).min()))
+    return best
+
+
+def _c7_svgd_stays_in_one_mode(seed):
+    base, kernel = g.tri_crescent_target(), g.KernelConfig("median")
+    spec = g.DynamicsSpec("LD", 2)
+    rng = np.random.default_rng(seed)
+    x = 0.1 * rng.standard_normal((_C7_PARTICLES, 2))
+    max_tips, occ = 0.0, None
+    for it in range(1, _C7_BUDGET + 1):
+        h = kernel.bandwidth(x)
+        x = g.euler_step(
+            x, lambda y: g.gsvgd_velocity(y, base, spec, h), 5e-4)
+        if it % 100 == 0:
+            occ = _c7_occupancy(x)
+            max_tips = max(max_tips, occ[0], occ[1])
+    one_mode = occ[2] >= 0.05 and max_tips < 0.01
+    return one_mode, max_tips, occ
+
+
+def _warnings_are_errors():
+    """Pool initializer: pytest's ``error`` warnings filter, so a
+    RuntimeWarning in a worker still fails the test."""
+    warnings.simplefilter("error")
+
+
 @pytest.mark.slow
 def test_criterion_07_mode_exploration():
     """The Riemannian momentum sampler must reach occupancy >= 0.05 in all
@@ -232,53 +286,15 @@ def test_criterion_07_mode_exploration():
     qualitative contrast hold with a wide margin; the configuration below
     is the strongest found and the assert states the criterion verbatim.
     """
-    base = g.tri_crescent_target()
-    kernel = g.KernelConfig("median")
-    centers = tri_crescent_mode_centers()
-    radius = 1.2
-    budget, n_particles = 20_000, 200
-
-    def occupancy(theta):
-        return mode_occupancy(theta, centers, radius)[0]
-
-    def rhmc_best_joint_occupancy(seed):
-        sigma2 = 4.0
-        spec = g.DynamicsSpec("RHMC", 2, sigma2=sigma2,
-                              riemann=g.RiemannConfig(base, 1.5, 0.5))
-        aug = spec.augment(base)
-        rng = np.random.default_rng(seed)
-        x = np.hstack([0.1 * rng.standard_normal((n_particles, 2)),
-                       np.sqrt(sigma2) * rng.standard_normal((n_particles, 2))])
-        best = -1.0
-        for it in range(1, budget + 1):
-            h = kernel.bandwidth(x)
-            x = g.euler_step(
-                x, lambda y: g.gsvgd_velocity(y, aug, spec, h), 0.05)
-            if it % 50 == 0:
-                best = max(best, float(
-                    occupancy(x[:, spec.theta_slice]).min()))
-        return best
-
-    def svgd_stays_in_one_mode(seed):
-        spec = g.DynamicsSpec("LD", 2)
-        rng = np.random.default_rng(seed)
-        x = 0.1 * rng.standard_normal((n_particles, 2))
-        max_tips, occ = 0.0, None
-        for it in range(1, budget + 1):
-            h = kernel.bandwidth(x)
-            x = g.euler_step(
-                x, lambda y: g.gsvgd_velocity(y, base, spec, h), 5e-4)
-            if it % 100 == 0:
-                occ = occupancy(x)
-                max_tips = max(max_tips, occ[0], occ[1])
-        one_mode = occ[2] >= 0.05 and max_tips < 0.01
-        return one_mode, max_tips, occ
-
+    seeds = range(5)
+    with ProcessPoolExecutor(max_workers=min(5, os.cpu_count()),
+                             initializer=_warnings_are_errors) as pool:
+        rhmc = pool.map(_c7_rhmc_best_joint_occupancy, seeds)
+        svgd = pool.map(_c7_svgd_stays_in_one_mode, seeds)
+        runs = list(zip(seeds, rhmc, svgd))
     wins = 0
-    for seed in range(5):
-        best = rhmc_best_joint_occupancy(seed)
+    for seed, best, (focused, max_tips, final) in runs:
         explored = best >= 0.05
-        focused, max_tips, final = svgd_stays_in_one_mode(seed)
         print(f"\n[acceptance 7] seed {seed}: rhmc best joint occupancy "
               f"{best:.3f} (all modes: {explored}), svgd final "
               f"{np.round(final, 3)} max tip occupancy {max_tips:.3f} "

@@ -213,8 +213,11 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["status"] == "aborted"
         assert "final" not in summary
+        # Every position is still finite, but their squared distances
+        # overflow; the particle farthest from the mean is named.
+        assert exc.value.particle in range(8)
         assert summary["abort"] == {
-            "iteration": exc.value.iteration, "particle": None,
+            "iteration": exc.value.iteration, "particle": exc.value.particle,
             "type": "NumericalError", "message": exc.value.message}
         assert "non-finite kernel bandwidth" in summary["abort"]["message"]
         assert summary["config"] == cfg.to_dict()
@@ -734,18 +737,50 @@ class TestMain:
     def test_modes_unknown_target(self):
         assert main(["modes", "--target", "bnn"]) == 2
 
-    def test_console_invocation(self):
+    @staticmethod
+    def child(*args):
+        """Run ``python *args`` on the package this process imports."""
         import subprocess
         import sys
 
         import gsvgd
-        # The child process imports the same package as this one.
         src = os.path.dirname(os.path.dirname(gsvgd.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run(
-            [sys.executable, "-m", "gsvgd.cli", "modes", "--target", "gauss"],
-            capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env)
+
+    def test_console_invocation(self):
+        out = self.child("-m", "gsvgd.cli", "modes", "--target", "gauss")
         assert out.returncode == 0
         assert out.stdout.strip() == "0.0,0.0"
+
+    def test_scipy_spatial_loads_only_for_a_pairwise_distance(self, tmp_path):
+        # Importing the CLI, validating a config and a one-particle
+        # fixed-bandwidth run compute no pairwise distance; the first
+        # two-particle median bandwidth does.
+        one = {"run": {"eps": 0.05, "iters": 5, "n_particles": 1},
+               "kernel": {"mode": "fixed", "h": 1.0},
+               "diagnostics": {"energy_ref": 0}}
+        paths = []
+        for name, overrides in (("one", one), ("two", {
+                "run": {"eps": 0.05, "iters": 5, "n_particles": 2},
+                "diagnostics": {"energy_ref": 0}})):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(small_run_config(tmp_path / name,
+                                                  **overrides))
+        script = (
+            "import sys\n"
+            "from gsvgd import cli\n"
+            "loaded = lambda: 'scipy.spatial' in sys.modules\n"
+            "seen = [loaded()]\n"
+            "for command in ('validate', 'run', 'run'):\n"
+            "    path = sys.argv.pop(1)\n"
+            "    assert cli.main([command, '--config', path]) == 0\n"
+            "    seen.append(loaded())\n"
+            "print(seen)\n")
+        out = self.child("-c", script, str(paths[0]), str(paths[0]),
+                         str(paths[1]))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[False, False, False, True]"

@@ -375,3 +375,23 @@ class TestKernelConfig:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             KernelConfig("imq")
+
+
+class TestDeferredDistance:
+    def test_first_call_binds_the_scipy_function(self):
+        namespace = {}
+        namespace["pdist"] = stand_in = kernels_mod.deferred_distance(
+            namespace, "pdist")
+        x = np.random.default_rng(5).standard_normal((6, 3))
+        assert stand_in(x, "sqeuclidean").tobytes() == \
+            pdist(x, "sqeuclidean").tobytes()
+        assert namespace["pdist"] is pdist
+
+    def test_a_wrapper_bound_over_it_stays(self):
+        namespace, calls = {}, []
+        stand_in = kernels_mod.deferred_distance(namespace, "cdist")
+        namespace["cdist"] = spy = lambda *a: calls.append(1) or stand_in(*a)
+        x = np.ones((2, 2))
+        for _ in range(2):
+            namespace["cdist"](x, x)
+        assert namespace["cdist"] is spy and len(calls) == 2

@@ -138,14 +138,15 @@ class TestGsvgdVelocity:
         (0.0, ValueError), (-1.0, ValueError), (np.nan, NumericalError),
         (np.inf, NumericalError)])
     def test_rejects_bad_bandwidth(self, h, error):
+        # Also for one particle, whose field skips the kernel.
         target, spec = ld_setup(1)
-        x = np.array([[-1.0], [1.0]])
-        for field in (gsvgd_velocity, gsvgd_velocity_alt,
-                      parvi_blob_velocity):
+        for x in (np.array([[-1.0], [1.0]]), np.array([[0.3]])):
+            for field in (gsvgd_velocity, gsvgd_velocity_alt,
+                          parvi_blob_velocity):
+                with pytest.raises(error):
+                    field(x, target, spec, h)
             with pytest.raises(error):
-                field(x, target, spec, h)
-        with pytest.raises(error):
-            blob_grad_log_density(x, h)
+                blob_grad_log_density(x, h)
 
     def test_nonfinite_drift_reports_particle(self):
         def grad(X):
@@ -231,11 +232,20 @@ class TestFoldedContraction:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_single_particle_field_is_the_drift(self, kind):
+        # Bitwise drift + 0.0 for every field: theta = (0.5, 0) with
+        # r = xi = 0 gives ThirdOrder a drift with -0.0 entries.
         spec, target = make_spec(kind, friction=0.4, sigma2=0.8, mu=1.5)
-        x = np.random.default_rng(31).uniform(-1.5, 1.5, size=(1, spec.dim))
-        F, _ = spec.drift_many(x, target)
-        for field in (gsvgd_velocity, gsvgd_velocity_alt):
-            assert field(x, target, spec, 0.9).tobytes() == F.tobytes()
+        x0 = np.zeros((1, spec.dim))
+        x0[0, 0] = 0.5
+        for x in (np.random.default_rng(31).uniform(-1.5, 1.5, (1, spec.dim)),
+                  x0):
+            F, _ = spec.drift_many(x, target)
+            for field in FIELDS:
+                for h in (0.9, median_bandwidth(x)):
+                    v = field(x, target, spec, h)
+                    assert v.tobytes() == (F + 0.0).tobytes(), field.__name__
+        if kind == "ThirdOrder":
+            assert (np.signbit(F) & (F == 0.0)).any()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_offset_cloud_is_no_less_accurate(self, kind):
@@ -262,6 +272,68 @@ class TestFoldedContraction:
             # momentum kinds) neither form cancels, and both sit at the
             # rounding floor.
             assert err <= max(old, 1e-15), (err, old)
+
+
+class TestSingleParticle:
+    """With one particle every field is its drift and builds no kernel."""
+
+    def test_no_kernel_is_built(self, monkeypatch):
+        calls = count_pairwise_passes(monkeypatch)
+        for module, name in ((sampler_mod, "contract"), (kernels_mod, "gram"),
+                             (kernels_mod, "squareform")):
+            monkeypatch.setattr(
+                module, name, lambda *a, _n=name: calls.append(_n))
+        for kind in KINDS:
+            spec, target = make_spec(kind)
+            x = np.random.default_rng(41).uniform(-1.5, 1.5, (1, spec.dim))
+            h = KernelConfig("median").bandwidth(x)
+            for field in FIELDS:
+                field(x, target, spec, h)
+                if spec.has_r:
+                    symmetric_split_step(
+                        x, lambda Y: field(Y, target, spec, h), 0.05, spec)
+            np.testing.assert_array_equal(blob_grad_log_density(x, 1.0),
+                                          np.zeros(x.shape))
+        assert calls == []
+
+    def test_drift_is_still_checked(self):
+        def grad(X):
+            return np.full(X.shape, np.nan)
+
+        bad = TargetDensity(2, lambda X: (np.zeros(len(X)), grad(X)), grad)
+        for field in FIELDS:
+            with pytest.raises(NumericalError) as exc:
+                field(np.array([[0.3, -0.2]]), bad, DynamicsSpec("LD", 2),
+                      1.0)
+            assert exc.value.particle == 0
+
+
+class TestNonFiniteBandwidth:
+    """A bandwidth overflowed by finite positions names a particle."""
+
+    @pytest.mark.parametrize("far", [0, 1, 2])
+    def test_median_overflow_names_the_far_row(self, far):
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+        x[far] = [1e160, -3.0]
+        h = median_bandwidth(x)
+        assert h == np.inf
+        target, spec = ld_setup(2)
+        for field in FIELDS:
+            with pytest.raises(NumericalError) as exc:
+                field(x, target, spec, h)
+            assert exc.value.particle == far
+        with pytest.raises(NumericalError) as exc:
+            blob_grad_log_density(x, h)
+        assert exc.value.particle == far
+
+    def test_farthest_row_of_a_larger_set(self):
+        spec, target = make_spec("HMC")
+        x = np.random.default_rng(43).uniform(-1, 1, size=(20, spec.dim))
+        x[13, 1] = 1e160
+        x[6, 0] = 1e159
+        with pytest.raises(NumericalError) as exc:
+            gsvgd_velocity(x, target, spec, np.inf)
+        assert exc.value.particle == 13
 
 
 class TestMultiBlock:
@@ -397,6 +469,14 @@ class TestBlob:
         np.testing.assert_allclose(blob_grad_log_density(x, h=0.9),
                                    blob_score_reference(x, 0.9),
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 100.0, 1000.0])
+    def test_offset_cloud_keeps_rounding_accuracy(self, offset):
+        # Uncentred sums cancel terms of size |x|: 7.1e-13 at offset 1000.
+        x = np.random.default_rng(47).standard_normal((40, 2)) + offset
+        ref = blob_score_reference(x, 1.3)
+        err = np.abs(blob_grad_log_density(x, 1.3) - ref)
+        assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(ref)))
 
     def test_score_rmse_on_gaussian_sample(self):
         rng = np.random.default_rng(0)
