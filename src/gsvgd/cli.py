@@ -42,7 +42,6 @@ from functools import cache
 from itertools import groupby
 
 import numpy as np
-import scipy
 
 from . import bnn as bnn_mod
 from . import diagnostics, targets
@@ -357,7 +356,7 @@ def _environment() -> str:
     depend on, as JSON; built once per process."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return json.dumps({
-        "numpy": np.__version__, "scipy": scipy.__version__,
+        "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "blas_threads": {var: os.environ.get(var)
                          for var in _BLAS_THREAD_VARS}})
@@ -375,7 +374,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
     anything is written, and the summary is written to a temporary file
     that replaces ``summary.json`` whole, so a run whose summary cannot be
     written leaves none.  The summary also records the environment
-    (numpy, scipy and BLAS versions, BLAS thread variables): output bytes
+    (numpy and BLAS versions, BLAS thread variables): output bytes
     repeat only within one environment.  A completed run removes the
     snapshots an earlier run left that it did not write itself.
 
@@ -461,8 +460,14 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
         _environment()), "iterations": cfg.iters}
     it = 0
     try:
-        with diagnostics.TraceWriter(os.path.join(out_dir, "trace.csv"),
-                                     columns, snapshot_dir=snap_dir) as writer:
+        # A non-finite value aborts a step, naming its particle (the fields'
+        # and the integrator's checks); the overflow and invalid-value
+        # warnings numpy would print first are silenced in one context for
+        # the whole run, not one per call.
+        with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+              diagnostics.TraceWriter(os.path.join(out_dir, "trace.csv"),
+                                      columns, snapshot_dir=snap_dir)
+              as writer):
             diagnostics.write_snapshot(
                 os.path.join(snap_dir, diagnostics.snapshot_name(0)), 0, X)
             summary["initial"] = row = metrics_of(X)

@@ -11,64 +11,37 @@ matrix ``K`` and a stacked right-hand side ``V``; :func:`contract` computes
 it in cache-sized symmetric row blocks, so at most one block of the kernel
 matrix is held and each off-diagonal kernel pair is built once.
 
-A one-block set (N <= 362) computes its squared distances once, with
-``pdist``: the median bandwidth selects from them and keeps them, and a
-contraction at that bandwidth over the same positions builds its kernel
-from them, bit for bit as ``gram`` would.
-
-A larger set computes no distances with ``pdist`` or ``cdist``.  Both the
-median and each kernel block come from one GEMM on centred coordinates
+Every squared distance comes from one GEMM on centred coordinates
 ``x~ = x - mean(x)``: the rows of ``[a x~ | q | 1]`` and ``[x~ | 1 | q]``
 multiply to ``a x~_i . x~_j + q_i + q_j``, which is ``||x_i - x_j||^2``
 for ``a = -2``, ``q = |x~|^2`` and ``-||x_i - x_j||^2 / h`` for
 ``a = 2 / h``, ``q = -|x~|^2 / h``.  Its absolute rounding error grows with
 ``max|x~|^2 / h``, so this form is used only where that bound keeps the
-kernel within 1e-12 and the bandwidth within about 4e-14 relative
-(``_GEMM_LIMIT``); a set beyond it, or a non-finite one, computes its
-distances with ``pdist`` (the median) or ``cdist`` (each block) instead, bit
-for bit as before.
+kernel within 1e-12 and the bandwidth within ``2.3 eps 2**9 / log N``
+relative (``_GEMM_LIMIT``); a set beyond it, or a non-finite one, forms its
+squared distances from coordinate differences instead (:func:`_exact_d2`).
 
-``pdist``, ``cdist`` and ``squareform`` are bound to scipy on first call
-(:func:`deferred_distance`), not at import.  Importing ``scipy.spatial``
-also loads ``scipy.linalg``, which costs more time and memory than
-``gsvgd validate`` or a one-particle fixed-bandwidth run takes in all, and
-neither computes a pairwise distance.
+A one-block set (N <= 362) forms the square matrix of its squared distances
+once: the median bandwidth selects from its strict upper triangle and keeps
+it, and a contraction at that bandwidth over the same positions builds its
+kernel from it, bit for bit as ``gram`` would.  A larger set fills one
+buffer of its N(N-1)/2 distances for the median, and forms each kernel
+block of the contraction as ``exp`` of one GEMM.
+
+Nothing here uses scipy: importing ``scipy.spatial`` for a distance would
+also load ``scipy.linalg``, which costs more memory than a run's own arrays
+at these set sizes.
 """
 
 from __future__ import annotations
 
-import importlib
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 Array = np.ndarray
-
-
-def deferred_distance(namespace: dict, name: str):
-    """A stand-in for ``scipy.spatial.distance.<name>``, bound as ``name``
-    in the module ``namespace``.
-
-    Its first call imports the scipy function and rebinds ``name`` to it,
-    so later calls cost what a direct import would, and a process that
-    computes no pairwise distance never loads ``scipy.spatial`` (nor the
-    ``scipy.linalg`` it pulls in).  When ``name`` has been rebound in the
-    meantime (a test's wrapper around this stand-in), it is left as it is.
-    """
-
-    def first_call(*args, **kwargs):
-        func = getattr(importlib.import_module("scipy.spatial.distance"), name)
-        if namespace.get(name) is first_call:
-            namespace[name] = func
-        return func(*args, **kwargs)
-
-    first_call.__name__ = first_call.__qualname__ = name
-    return first_call
-
-
-cdist = deferred_distance(globals(), "cdist")
-pdist = deferred_distance(globals(), "pdist")
-squareform = deferred_distance(globals(), "squareform")
 
 # Kernel entries per row block of :func:`contract` (about 64 rows at N=2000).
 _BLOCK_ENTRIES = 1 << 17
@@ -92,15 +65,25 @@ def _rows_per_block(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
+@lru_cache(maxsize=4)
+def _upper(n: int) -> Array:
+    """Flat indices of the strict upper triangle of an n x n matrix, in row
+    order (read-only; cached, since a run keeps its set size)."""
+    r, c = np.triu_indices(n, 1)
+    flat = r * n + c
+    flat.flags.writeable = False
+    return flat
+
+
 class Bandwidth(float):
     """A kernel bandwidth that may carry the squared distances behind it.
 
-    :func:`median_bandwidth` of a one-block set keeps the condensed
-    ``pdist`` squared distances (read-only, unpartitioned) together with the
-    shape and bytes of the positions they came from; :func:`contract`
-    builds its kernel from them when it is given this bandwidth and the same
-    positions.  Arithmetic on it gives a plain float, so ``float(h)`` or any
-    derived value carries nothing.
+    :func:`median_bandwidth` of a one-block set keeps its (N, N) squared
+    distances (read-only), exactly those ``gram`` forms at this bandwidth,
+    together with the shape and bytes of the positions they came from;
+    :func:`contract` builds its kernel from them when it is given this
+    bandwidth and the same positions.  Arithmetic on it gives a plain
+    float, so ``float(h)`` or any derived value carries nothing.
     """
 
     def __new__(cls, value, d2=None, positions=None):
@@ -121,63 +104,98 @@ class Bandwidth(float):
         return self.d2
 
 
-def _centred(X: Array):
-    """Centred coordinates ``x~ = x - mean(x)`` and their squared norms,
-    which are non-finite, without a warning, for a non-finite or huge
-    ``X``."""
+def _centred(X: Array, centre=None):
+    """Coordinates ``x~ = x - centre`` (by default the mean of ``X``) and
+    their squared norms, which are non-finite, without a warning, for a
+    non-finite or huge ``X``."""
     with np.errstate(invalid="ignore", over="ignore"):
-        Xc = X - X.mean(axis=0)
+        # np.add.reduce / N is X.mean(axis=0) bit for bit, at less overhead.
+        Xc = X - (np.add.reduce(X, axis=0) / X.shape[0] if centre is None
+                  else centre)
         return Xc, np.einsum("ij,ij->i", Xc, Xc)
 
 
-def _gemm_factors(Xc: Array, scale: float, q: Array):
-    """``(P, Q)`` with ``P = [scale x~ | q | 1]`` and ``Q = [x~ | 1 | q]``,
-    so ``P_i . Q_j = scale x~_i . x~_j + q_i + q_j``."""
-    n, d = Xc.shape
-    P, Q = np.empty((n, d + 2)), np.empty((n, d + 2))
+def _gemm_factors(Xc: Array, scale: float, q: Array, Yc=None, qy=None):
+    """``(P, Q)`` with ``P = [scale x~ | q | 1]`` and ``Q = [y~ | 1 | qy]``
+    (``y~ = x~`` and ``qy = q`` unless given), so
+    ``P_i . Q_j = scale x~_i . y~_j + q_i + qy_j``."""
+    if Yc is None:
+        Yc, qy = Xc, q
+    d = Xc.shape[1]
+    P, Q = np.empty((Xc.shape[0], d + 2)), np.empty((Yc.shape[0], d + 2))
     np.multiply(Xc, scale, out=P[:, :d])
     P[:, d], P[:, d + 1] = q, 1.0
-    Q[:, :d], Q[:, d], Q[:, d + 1] = Xc, 1.0, q
+    Q[:, :d], Q[:, d], Q[:, d + 1] = Yc, 1.0, qy
     return P, Q
 
 
 def _gemm_admits(s_max: float, d: int, h: float) -> bool:
     """True when ``max|x~|^2 / h * sqrt(D + 2)`` is within ``_GEMM_LIMIT``
-    (False for a non-finite set, or for h = 0)."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return bool(s_max / h * np.sqrt(d + 2) <= _GEMM_LIMIT)
+    and ``max|x~|^2 <= 2**1020`` (False for a non-finite set, or a NaN h).
+    Every GEMM entry is at most about ``4 max|x~|^2``, so an admitted set
+    cannot overflow it.  Plain float arithmetic: no ``np.errstate`` is
+    needed."""
+    return s_max <= min(_GEMM_LIMIT * h / math.sqrt(d + 2), 2.0 ** 1020)
 
 
-def _gemm_distances(Xc: Array, s: Array) -> Array:
-    """The m = N(N-1)/2 off-diagonal squared distances of a blocked set, in
-    a buffer of exactly m entries, formed by GEMM from the centred
-    coordinates ``Xc`` and their squared norms ``s``: the rows of
-    ``[-2 x~ | s | 1]`` and ``[x~ | 1 | s]`` multiply to
-    ``||x_i - x_j||^2``.  Row block ``I = [i0, i1)`` writes its rectangle
-    against the columns ``i1:`` straight into the buffer, then the strict
-    upper triangle of its square part.  The order is not ``pdist``'s, and
-    an entry may round below 0 (:func:`_median_rule` allows for both).  A
-    set too large for its squares overflows without a warning, as in
-    ``pdist``."""
-    n = Xc.shape[0]
+def _exact_d2(Xa: Array, Xb: Array) -> Array:
+    """``||Xa_i - Xb_j||^2`` from coordinate differences, in row blocks of
+    at most ``_BLOCK_ENTRIES`` differences: the fallback wherever the GEMM
+    guard refuses.  A set too large for its squares overflows to ``inf``
+    without a warning; equal rows give exactly 0."""
+    out = np.empty((Xa.shape[0], Xb.shape[0]))
+    rows = max(1, _BLOCK_ENTRIES // max(1, Xb.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, Xa.shape[0], rows):
+            diff = Xa[i0:i0 + rows, None, :] - Xb
+            np.einsum("ijk,ijk->ij", diff, diff, out=out[i0:i0 + rows])
+    return out
+
+
+def _gemm_square(Xc: Array, s: Array, out=None) -> Array:
+    """The (N, N) squared distances of a set from its centred coordinates
+    ``Xc`` and their squared norms ``s``, by one GEMM (into ``out`` if
+    given), with the diagonal set to exactly 0.  An entry may round below 0
+    (:func:`_median_rule` allows for it).  A set that :func:`_gemm_admits`
+    refuses may overflow, so a caller without that check holds an
+    ``np.errstate``."""
     P, Q = _gemm_factors(Xc, -2.0, s)
+    S = np.matmul(P, Q.T, out=out)
+    S.ravel()[::S.shape[0] + 1] = 0.0
+    return S
+
+
+def _condensed_d2(X: Array, Xc: Array, s: Array, gemm: bool) -> Array:
+    """The m = N(N-1)/2 off-diagonal squared distances of a blocked set, in
+    a buffer of exactly m entries.  With ``gemm`` they are formed from the
+    centred coordinates ``Xc`` and their squared norms ``s``: the rows of
+    ``[-2 x~ | s | 1]`` and ``[x~ | 1 | s]`` multiply to
+    ``||x_i - x_j||^2``, and an entry may round below 0
+    (:func:`_median_rule` allows for it); else from the differences of
+    ``X`` (:func:`_exact_d2`).  Row block ``I = [i0, i1)`` writes its
+    rectangle against the columns ``i1:`` straight into the buffer, then the
+    strict upper triangle of its square part.  A set too large for its
+    squares overflows without a warning."""
+    n = X.shape[0]
+    P, Q = _gemm_factors(Xc, -2.0, s) if gemm else (None, None)
     buf = np.empty(n * (n - 1) // 2)
     rows = _rows_per_block(n)
-    upper = {}
     at = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n, rows):
             i1 = min(i0 + rows, n)
             b = i1 - i0
             rect = buf[at:at + b * (n - i1)].reshape(b, n - i1)
-            np.matmul(P[i0:i1], Q[i1:].T, out=rect)
+            if gemm:
+                np.matmul(P[i0:i1], Q[i1:].T, out=rect)
+                square = P[i0:i1] @ Q[i0:i1].T
+            else:
+                block = _exact_d2(X[i0:i1], X[i0:])
+                rect[...], square = block[:, b:], block[:, :b]
             at += rect.size
-            if b not in upper:
-                r, c = np.triu_indices(b, 1)
-                upper[b] = r * b + c
-            np.take(P[i0:i1] @ Q[i0:i1].T, upper[b],
-                    out=buf[at:at + upper[b].size])
-            at += upper[b].size
+            upper = _upper(b)
+            np.take(square, upper, out=buf[at:at + upper.size])
+            at += upper.size
     return buf
 
 
@@ -196,10 +214,12 @@ def _median_rule(d2: Array, n: int, h_min: float):
     """
     k = d2.size // 2
     d2.view(np.int64).partition(k)
-    middle = [d2[k]] if d2.size % 2 else [d2[:k].max(), d2[k]]
-    roots = np.sqrt(np.maximum(middle, 0.0))
-    med = float(np.mean(roots))
-    return max(med ** 2 / np.log(n), h_min), float(roots[0] * roots[-1])
+    hi = max(float(d2[k]), 0.0)
+    lo = max(float(d2[:k].max()), 0.0) if d2.size % 2 == 0 else hi
+    # (r0 + r1) / 2 is np.mean of the one or two roots, bit for bit.
+    r0, r1 = math.sqrt(lo), math.sqrt(hi)
+    med = (r0 + r1) / 2
+    return max(med ** 2 / np.log(n), h_min), r0 * r1
 
 
 def median_bandwidth(positions, h_min: float = 1e-6) -> Bandwidth:
@@ -209,14 +229,15 @@ def median_bandwidth(positions, h_min: float = 1e-6) -> Bandwidth:
     distances, found by selection over their squares (:func:`_median_rule`).
     A one-particle set returns the clamp of 1.0.
 
-    A one-block set selects from a copy of its ``pdist`` squared distances,
-    so ``med`` equals ``np.median(pdist(X))`` bit for bit, and the result
-    carries the distances (:class:`Bandwidth`).  A larger set selects from
-    squared distances formed by GEMM on centred coordinates
-    (:func:`_gemm_distances`), so ``h`` agrees with the ``pdist`` rule to
-    about 4e-14 relative; where the rounding bound below does not hold, it
-    selects from ``pdist`` distances instead, bit for bit as a one-block
-    set does.
+    The squared distances are formed by GEMM on centred coordinates: for a
+    one-block set as one (N, N) matrix (:func:`_gemm_square`), whose strict
+    upper triangle is copied for the selection, and for a larger set in one
+    buffer of m entries (:func:`_condensed_d2`).  So ``h`` agrees with
+    the ``np.median`` rule over exact distances to within
+    ``2.3 * eps * 2**9 / log N`` relative; where the rounding bound below
+    does not hold, it selects from exact distances (:func:`_exact_d2`)
+    instead.  A one-block result carries its (N, N) squared distances when
+    they are those ``gram`` forms at this bandwidth (:class:`Bandwidth`).
     """
     positions = np.asarray(positions, dtype=float)
     if (positions.ndim != 2 or positions.shape[0] < 1
@@ -225,9 +246,6 @@ def median_bandwidth(positions, h_min: float = 1e-6) -> Bandwidth:
     n, d = positions.shape
     if n == 1:
         return Bandwidth(max(1.0, h_min))
-    if n <= _rows_per_block(n):
-        d2 = pdist(positions, "sqeuclidean")
-        return Bandwidth(_median_rule(d2.copy(), n, h_min)[0], d2, positions)
     # Each GEMM distance is within c * eps * max|x~|^2 of the exact one, with
     # c <= 2.3 * sqrt(D + 2) as measured for the exponent of contract's
     # blocks (whose factors round once more, in the scaling by 2 / h).  A
@@ -238,19 +256,61 @@ def median_bandwidth(positions, h_min: float = 1e-6) -> Bandwidth:
     # max|x~|^2 * sqrt(D + 2) / (g / log N), with g = sqrt(a b) (g / log N
     # is the unclamped h when m is odd), by _GEMM_LIMIT: the relative error
     # of h stays below 2.3 * eps * 2**9 / log N, 3.4e-14 at N = 2000 and
-    # 4.4e-14 at N = 363.  Through g, the guard also refuses an even m whose
+    # 3.8e-13 at N = 2.  Through g, the guard also refuses an even m whose
     # lower middle value is (near) zero, where the square root would
     # magnify the error.
     Xc, s = _centred(positions)
-    h, g = _median_rule(_gemm_distances(Xc, s), n, h_min)
-    if not _gemm_admits(s.max(), d, g / np.log(n)):
-        h = _median_rule(pdist(positions, "sqeuclidean"), n, h_min)[0]
-    return Bandwidth(h)
+    s_max = float(s.max())
+    if n > _rows_per_block(n):
+        h, g = _median_rule(_condensed_d2(positions, Xc, s, True), n, h_min)
+        if not _gemm_admits(s_max, d, g / math.log(n)):
+            h = _median_rule(_condensed_d2(positions, Xc, s, False), n,
+                             h_min)[0]
+        return Bandwidth(h)
+    # One buffer holds the square and, after it, the copy of its upper
+    # triangle that the selection reorders (mode="clip" lets take write
+    # there unbuffered).  Two separate arrays, 1 MB and 0.5 MB at N = 362,
+    # are returned to the system by glibc's heap trimming and faulted in
+    # again on every step (about 220 minor faults per step of a crescent
+    # RHMC run at N = 362); the one buffer is reused (4 per step).
+    upper = _upper(n)
+    buf = np.empty(n * n + upper.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _gemm_square(Xc, s, out=buf[:n * n].reshape(n, n))
+    h, g = _median_rule(np.take(S, upper, out=buf[n * n:], mode="clip"), n,
+                        h_min)
+    gemm = _gemm_admits(s_max, d, g / math.log(n))
+    if not gemm:
+        S = _exact_d2(positions, positions)
+        h = _median_rule(S.take(upper), n, h_min)[0]
+    # Carry S where it is what gram forms at this h: the GEMM matrix where
+    # its guard admits h, else the exact one.
+    return Bandwidth(h, S if gemm == _gemm_admits(s_max, d, h) else None,
+                     positions)
 
 
 def gram(Xa: Array, Xb: Array, h: float) -> Array:
-    """Kernel matrix ``exp(-||Xa_i - Xb_j||^2 / h)``, built in place."""
-    K = cdist(Xa, Xb, "sqeuclidean")
+    """Kernel matrix ``exp(-||Xa_i - Xb_j||^2 / h)``, built in place in its
+    squared distances.
+
+    Those come from one GEMM on coordinates centred at the mean of ``Xb``
+    while ``_GEMM_LIMIT`` admits ``h``, else from :func:`_exact_d2`.  For
+    ``Xa is Xb`` they are the (N, N) matrix of :func:`_gemm_square`, with a
+    zero diagonal, so the kernel's diagonal is exactly 1 and it is bit for
+    bit the one built from a median bandwidth's stored distances.
+    """
+    # The mean as _centred takes it, so Xa is Xb gives the median's bits.
+    centre = np.add.reduce(Xb, axis=0) / Xb.shape[0]
+    Yc, sy = _centred(Xb, centre)
+    Xc, sx = (Yc, sy) if Xa is Xb else _centred(Xa, centre)
+    s_max = max(float(sx.max()), float(sy.max()))
+    if not _gemm_admits(s_max, Xb.shape[1], h):
+        K = _exact_d2(Xa, Xb)
+    elif Xa is Xb:
+        K = _gemm_square(Yc, sy)
+    else:
+        P, Q = _gemm_factors(Xc, -2.0, sx, Yc, sy)
+        K = P @ Q.T
     return np.exp(np.divide(K, -h, out=K), out=K)
 
 
@@ -259,7 +319,7 @@ def _exponent_factors(X: Array, h: float):
     coordinates, or None when ``X`` exceeds ``_GEMM_LIMIT`` or is not
     finite."""
     Xc, s = _centred(X)
-    if not _gemm_admits(s.max(), X.shape[1], h):
+    if not _gemm_admits(float(s.max()), X.shape[1], h):
         return None
     return _gemm_factors(Xc, 2.0 / h, s / -h)
 
@@ -277,9 +337,9 @@ def contract(X: Array, h: float, V: Array) -> Array:
     block is ``exp`` of one GEMM of the centred factors of
     :func:`_exponent_factors`, with its diagonal set to exactly 1; where
     those factors' rounding bound does not hold, the block is ``gram``
-    instead.  Blocking reorders the sums and the GEMM rounds the exponent
-    differently from ``cdist``, so for a larger set the result agrees with
-    one ``gram`` and one matmul to about 1e-12 relative to
+    instead.  Blocking reorders the sums and the blocks' exponents round
+    differently from one ``gram``, so for a larger set the result agrees
+    with one ``gram`` and one matmul to about 1e-12 relative to
     ``max(1, |K @ V|)``; it is bit for bit only for a one-block set.
     """
     n = X.shape[0]
@@ -288,10 +348,8 @@ def contract(X: Array, h: float, V: Array) -> Array:
         d2 = h.distances_for(X) if isinstance(h, Bandwidth) else None
         if d2 is None:
             return gram(X, X, h) @ V
-        E = d2 / -h
-        K = squareform(np.exp(E, out=E))
-        np.fill_diagonal(K, 1.0)
-        return K @ V
+        K = np.divide(d2, -h)
+        return np.exp(K, out=K) @ V
     S = np.zeros((n, V.shape[1]))
     factors = _exponent_factors(X, h)
     for i0 in range(0, n, rows):

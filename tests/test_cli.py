@@ -2,6 +2,7 @@ import filecmp
 import json
 import os
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -225,18 +226,19 @@ class TestRunExperiment:
     def test_reference_term_of_energy_distance_computed_once(
             self, tmp_path, monkeypatch):
         ref_passes, calls = [], []
-        real_pdist, real_energy = diagnostics.pdist, diagnostics.energy_distance
+        real_within = diagnostics.mean_distance
+        real_energy = diagnostics.energy_distance
 
-        def pdist(Y, *a):
+        def mean_distance(Y):
             if Y.shape[0] == 200:            # the energy_ref sample size
                 ref_passes.append(1)
-            return real_pdist(Y, *a)
+            return real_within(Y)
 
         def energy_distance(*a):
             calls.append([np.copy(v) for v in a])
             return real_energy(*a)
 
-        monkeypatch.setattr(diagnostics, "pdist", pdist)
+        monkeypatch.setattr(diagnostics, "mean_distance", mean_distance)
         monkeypatch.setattr(diagnostics, "energy_distance", energy_distance)
         run_experiment(parse_config(small_run_config(tmp_path / "o")))
         assert len(ref_passes) == 1
@@ -362,7 +364,6 @@ class TestRunExperiment:
             "message": "field stopped"}
 
     def test_summary_stamps_the_environment(self, tmp_path, monkeypatch):
-        import scipy
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cli._environment.cache_clear()
@@ -370,8 +371,8 @@ class TestRunExperiment:
             summary = run_experiment(parse_config(small_run_config(
                 tmp_path / "o")))
             env = summary["environment"]
-            assert (env["numpy"], env["scipy"]) == (np.__version__,
-                                                    scipy.__version__)
+            assert env["numpy"] == np.__version__
+            assert "scipy" not in env           # no output depends on it
             blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
             assert env["blas"] == {"name": blas["name"],
                                    "version": blas["version"]}
@@ -699,6 +700,31 @@ class TestMain:
         assert summary["status"] == "aborted"
         assert f"iteration={summary['abort']['iteration']}" in err
 
+    @pytest.mark.parametrize("seed", [2, 3, 4, 5])
+    def test_numerical_abort_prints_no_warning(self, tmp_path, capsys, seed):
+        # At eps 5 the crescent RHMC particles of these seeds overflow the
+        # crescent score and the metric before the drift check names one;
+        # the run's numpy warnings are silenced, and the abort still names
+        # the iteration and the particle.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "target": "tri_crescent", "method": "gsvgd",
+            "dynamics": {"kind": "RHMC", "sigma2": 4.0, "d_scale": 1.5,
+                         "c_offset": 0.5},
+            "integrator": "euler", "init": {"theta_var": 0.01},
+            "run": {"eps": 5.0, "iters": 300, "n_particles": 20,
+                    "seed": seed},
+            "diagnostics": {"mode_radius": 1.2},
+            "output_dir": str(tmp_path / "out")}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(path)]) == 3
+        assert "non-finite drift" in capsys.readouterr().err
+        abort = json.loads((tmp_path / "out" / "summary.json")
+                           .read_text())["abort"]
+        assert abort["iteration"] >= 1
+        assert abort["particle"] in range(20)
+
     def test_io_error_mid_run_exit_code(self, tmp_path, capsys, monkeypatch):
         def write_snapshot(path, iteration, positions):
             raise OSError("disk full")
@@ -756,31 +782,42 @@ class TestMain:
         assert out.returncode == 0
         assert out.stdout.strip() == "0.0,0.0"
 
-    def test_scipy_spatial_loads_only_for_a_pairwise_distance(self, tmp_path):
-        # Importing the CLI, validating a config and a one-particle
-        # fixed-bandwidth run compute no pairwise distance; the first
-        # two-particle median bandwidth does.
-        one = {"run": {"eps": 0.05, "iters": 5, "n_particles": 1},
-               "kernel": {"mode": "fixed", "h": 1.0},
-               "diagnostics": {"energy_ref": 0}}
+    def test_no_run_imports_scipy(self, tmp_path):
+        # Importing the CLI, validating a config, and runs through every
+        # pairwise-distance path (a two-particle and a blocked median, the
+        # energy distance, the mode occupancy and the blob estimate) leave
+        # every scipy module unloaded.
+        runs = {
+            "two": {"run": {"eps": 0.05, "iters": 5, "n_particles": 2},
+                    "diagnostics": {"energy_ref": 0}},
+            "blocked": {"run": {"eps": 0.05, "iters": 2, "n_particles": 400},
+                        "diagnostics": {"energy_ref": 0}},
+            "energy": {},
+            "modes": {"target": "tri_crescent", "target_params": {},
+                      "run": {"eps": 0.01, "iters": 5, "n_particles": 20},
+                      "diagnostics": {"mode_radius": 1.2}},
+            "blob": {"method": "blob", "dynamics": {"kind": "LD"},
+                     "integrator": "euler"}}
         paths = []
-        for name, overrides in (("one", one), ("two", {
-                "run": {"eps": 0.05, "iters": 5, "n_particles": 2},
-                "diagnostics": {"energy_ref": 0}})):
+        for name, overrides in runs.items():
             paths.append(tmp_path / f"{name}.json")
             paths[-1].write_text(small_run_config(tmp_path / name,
                                                   **overrides))
         script = (
             "import sys\n"
             "from gsvgd import cli\n"
-            "loaded = lambda: 'scipy.spatial' in sys.modules\n"
+            "loaded = lambda: sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'scipy')\n"
             "seen = [loaded()]\n"
-            "for command in ('validate', 'run', 'run'):\n"
-            "    path = sys.argv.pop(1)\n"
+            "for command, path in zip(['validate'] + ['run'] * 5,\n"
+            "                         sys.argv[1:2] + sys.argv[1:]):\n"
             "    assert cli.main([command, '--config', path]) == 0\n"
             "    seen.append(loaded())\n"
             "print(seen)\n")
-        out = self.child("-c", script, str(paths[0]), str(paths[0]),
-                         str(paths[1]))
+        out = self.child("-c", script, *map(str, paths))
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "[False, False, False, True]"
+        assert out.stdout.splitlines()[-1] == str([[]] * 7)
+        final = {name: json.loads((tmp_path / name / "summary.json")
+                                  .read_text())["final"] for name in runs}
+        assert "energy_dist" in final["energy"]
+        assert "mode_0" in final["modes"]

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 
 from gsvgd.bnn import BNNPosterior, init_params, make_dataset
 from gsvgd.diagnostics import (TraceWriter, energy_distance, mean_distance,
@@ -7,6 +10,25 @@ from gsvgd.diagnostics import (TraceWriter, energy_distance, mean_distance,
                                write_snapshot)
 from gsvgd.diagnostics import test_log_likelihood as ensemble_test_ll
 from gsvgd.dynamics import DynamicsSpec
+
+
+def scipy_terms(X, Y):
+    """``(2 E||x - y||, E||x - x'||, E||y - y'||)`` from scipy distances."""
+    n, m = len(X), len(Y)
+    return (2.0 * cdist(X, Y).mean(), 2.0 * pdist(X).sum() / (n * n),
+            2.0 * pdist(Y).sum() / (m * m))
+
+
+def near_coincident_sets(seed):
+    """A cloud with exact and 1e-9-offset copies of its own rows, and a
+    reference holding some of those rows, so many GEMM squared distances
+    are rounding residues and must be recomputed from differences."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((300, 3)) + [5.0, -2.0, 1.0]
+    x[100:150] = x[:50]
+    x[150:200] = x[:50] + 1e-9 * rng.standard_normal((50, 3))
+    y = np.concatenate([x[:40], rng.standard_normal((160, 3))])
+    return x, y
 
 
 def brute_force_energy(X, Y):
@@ -63,7 +85,59 @@ class TestEnergyDistance:
         assert mean_distance(y[:1]) == 0.0
 
 
+class TestEnergyDistanceAgainstScipy:
+    """The GEMM row-block sums agree with the scipy form of the energy
+    distance to 1e-12 relative to its cross term."""
+
+    @pytest.mark.parametrize("sets", ["gaussian", "offset", "coincident"])
+    def test_within_1e12_of_the_scipy_formula(self, sets):
+        rng = np.random.default_rng(8)
+        if sets == "coincident":
+            x, y = near_coincident_sets(9)
+        else:
+            # 2000 x 1000 pairs: many row blocks, in both sums.
+            x = rng.standard_normal((2000, 4))
+            y = 1.3 * rng.standard_normal((1000, 4)) + 0.2
+            if sets == "offset":
+                x, y = x + 1e3, y + 1e3
+        cross, within_x, within_y = scipy_terms(x, y)
+        assert mean_distance(x) == pytest.approx(within_x, rel=1e-12, abs=0)
+        assert mean_distance(y) == pytest.approx(within_y, rel=1e-12, abs=0)
+        assert abs(energy_distance(x, y) - (cross - within_x - within_y)) \
+            <= 1e-12 * cross
+        # Identical multisets, with every pair of coincident rows among the
+        # GEMM residues, stay at zero.
+        assert abs(energy_distance(x, x.copy())) <= 1e-12 * cross
+
+    def test_non_finite_and_overflowing_sets_warn_nothing(self):
+        # The bad row is near no center, and poisons the energy distance.
+        y = np.random.default_rng(10).standard_normal((30, 2))
+        centers = [[0.0, 0.0], [1.0, 1.0]]
+        others = mode_occupancy(np.delete(y[:20], 3, axis=0), centers, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.inf, np.nan, 1e200):
+                x = y[:20].copy()
+                x[3, 1] = bad
+                assert not np.isfinite(energy_distance(x, y))
+                assert not np.isfinite(energy_distance(y, x))
+                fractions, _ = mode_occupancy(x, centers, 1.0)
+                np.testing.assert_allclose(20 * fractions, 19 * others[0])
+
+
 class TestModeOccupancy:
+    def test_matches_the_cdist_rule(self):
+        rng = np.random.default_rng(11)
+        x = 2.0 * rng.standard_normal((500, 2))
+        centers = np.array([[2.0, 2.0], [-2.0, -2.0], [0.0, 2.0]])
+        dists = cdist(x, centers)
+        nearest = np.argmin(dists, axis=1)
+        within = dists[np.arange(500), nearest] <= 1.2
+        expected = [np.mean(within & (nearest == k)) for k in range(3)]
+        fractions, unassigned = mode_occupancy(x, centers, 1.2)
+        np.testing.assert_array_equal(fractions, expected)
+        assert unassigned == 1.0 - fractions.sum()
+
     def test_all_at_first_center(self):
         x = np.zeros((10, 2))
         centers = [[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]

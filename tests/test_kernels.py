@@ -1,14 +1,43 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 import gsvgd.kernels as kernels_mod
 from gsvgd.kernels import KernelConfig, contract, gram, median_bandwidth
+
+EPS = np.finfo(float).eps
 
 
 def median_reference(x, h_min=1e-6):
     """The median rule written with ``np.median`` over Euclidean ``pdist``."""
     return max(float(np.median(pdist(x))) ** 2 / np.log(x.shape[0]), h_min)
+
+
+def median_bound(n, limit=None):
+    """The derived relative error bound of a GEMM-selected median bandwidth,
+    ``2.3 * eps * _GEMM_LIMIT / log N``."""
+    limit = kernels_mod._GEMM_LIMIT if limit is None else limit
+    return 2.3 * EPS * limit / np.log(n)
+
+
+def max_centred_norm2(*sets):
+    """``max|x~|^2`` over the sets, centred at the mean of the last one."""
+    centre = sets[-1].mean(axis=0)
+    return max(float(np.max(np.sum((x - centre) ** 2, axis=1)))
+               for x in sets)
+
+
+def spy(monkeypatch, *names):
+    """Log each call of the named ``gsvgd.kernels`` functions by name."""
+    calls = []
+    for name in names:
+        real = getattr(kernels_mod, name)
+        monkeypatch.setattr(
+            kernels_mod, name,
+            lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    return calls
 
 
 class TestMedianBandwidth:
@@ -29,10 +58,13 @@ class TestMedianBandwidth:
         assert median_bandwidth(np.array([[7.0, 7.0]])) == 1.0
 
     def test_permutation_invariance(self):
+        # The centred GEMM rounds each distance according to the rows'
+        # order, so a permutation moves h within twice the derived bound.
         rng = np.random.default_rng(2)
         x = rng.standard_normal((11, 3))
         perm = rng.permutation(11)
-        assert median_bandwidth(x) == median_bandwidth(x[perm])
+        assert median_bandwidth(x) == pytest.approx(
+            median_bandwidth(x[perm]), rel=2 * median_bound(11), abs=0)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)
@@ -47,15 +79,12 @@ class TestMedianBandwidth:
                                      (362, 4), (363, 4), (2000, 4), (11, 306)])
     def test_selection_equals_np_median_bitwise(self, n, d):
         # m = n(n-1)/2 pairs: odd for n = 2, 3, 11, 362, 363; even for
-        # n = 4, 200, 2000.  362 is the largest one-block set, which selects
-        # from pdist distances bit for bit; a larger set selects from GEMM
-        # distances, within the bound of TestBlockedMedian.
+        # n = 4, 200, 2000.  Every set selects from GEMM distances (362 is
+        # the largest one-block set), so h is within the derived bound of
+        # np.median over pdist.
         x = np.random.default_rng(n * 1000 + d).standard_normal((n, d))
-        if n <= 362:
-            assert median_bandwidth(x) == median_reference(x)
-        else:
-            assert median_bandwidth(x) == pytest.approx(median_reference(x),
-                                                         rel=1e-13, abs=0)
+        assert median_bandwidth(x) == pytest.approx(
+            median_reference(x), rel=median_bound(n), abs=0)
 
     def test_duplicate_rows_bitwise(self):
         rng = np.random.default_rng(5)
@@ -74,11 +103,71 @@ class TestMedianBandwidth:
 class TestGram:
     @pytest.mark.parametrize("na,nb,d", [(1, 1, 1), (5, 9, 3), (64, 200, 4)])
     def test_equals_exp_of_cdist_bitwise(self, na, nb, d):
+        # Where the guard admits h, each exponent is within the GEMM bound
+        # 2.3 eps sqrt(D + 2) max|x~|^2 / h of -cdist / h; elsewhere the
+        # distances come from differences, each within (D + 2) eps of
+        # cdist's relative.  exp adds a rounding of its own.
         rng = np.random.default_rng(na + nb + d)
         xa, xb = rng.standard_normal((na, d)), rng.standard_normal((nb, d))
+        s_max = max_centred_norm2(xa, xb)
         for h in (1e-3, 0.7, 3.0, 1e4):
-            expected = np.exp(-cdist(xa, xb, "sqeuclidean") / h)
-            np.testing.assert_array_equal(gram(xa, xb, h), expected)
+            exponent = cdist(xa, xb, "sqeuclidean") / h
+            expected = np.exp(-exponent)
+            if kernels_mod._gemm_admits(s_max, d, h):
+                err = 2.3 * EPS * np.sqrt(d + 2) * s_max / h
+            else:
+                err = (d + 2) * EPS * exponent
+            assert np.all(np.abs(gram(xa, xb, h) - expected)
+                          <= expected * (1.01 * err + 2 * EPS)), h
+
+    def test_a_set_against_itself_has_a_unit_diagonal(self):
+        x = np.random.default_rng(6).standard_normal((30, 3))
+        for h in (0.7, 1e-3):                   # GEMM, then differences
+            assert np.all(np.diag(gram(x, x, h)) == 1.0)
+
+    @pytest.mark.parametrize("d", [1, 4, 17])
+    def test_refused_set_takes_exact_distances(self, d, monkeypatch):
+        # A tight cluster far from the cloud is beyond the guard at this h:
+        # gram forms its distances from differences, within 1e-15 of cdist
+        # relative, and so does the median for a set whose middle distances
+        # the guard refuses.
+        x = tight_far_cluster(40, d, 1e4, seed=d)
+        y = np.random.default_rng(d).standard_normal((7, d))
+        calls = spy(monkeypatch, "_exact_d2")
+        for xa, xb in ((x, x), (y, x)):
+            assert not kernels_mod._gemm_admits(max_centred_norm2(xa, xb), d,
+                                                1.0)
+            d2 = kernels_mod._exact_d2(xa, xb)
+            np.testing.assert_allclose(d2, cdist(xa, xb, "sqeuclidean"),
+                                       rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(gram(xa, xb, 1.0),
+                                          np.exp(d2 / -1.0))
+        assert calls == ["_exact_d2"] * 4
+        calls.clear()
+        # Five of six particles within about 1e-3 of each other: m = 15 and
+        # the median is one of their 10 distances, far below max|x~|.
+        z = 1e-3 * np.random.default_rng(d + 1).standard_normal((6, d))
+        z[5] += 1e4
+        assert median_bandwidth(z) == pytest.approx(median_reference(z),
+                                                    rel=1e-15, abs=0)
+        assert calls == ["_exact_d2"]
+        np.testing.assert_allclose(median_bandwidth(z).d2,
+                                   squareform(pdist(z, "sqeuclidean")),
+                                   rtol=1e-15, atol=0)
+
+    def test_overflowing_and_non_finite_sets_warn_nothing(self):
+        big = np.array([[0.0, 1.0], [1.0, 0.0], [1e160, -3.0]])
+        bad = np.array([[0.0, 1.0], [np.inf, 0.0], [np.nan, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert median_bandwidth(big) == np.inf
+            assert np.isinf(median_bandwidth(big).d2).sum() == 4
+            for x in (big, bad):
+                for h in (1.0, 1e300):
+                    k = gram(x, x, h)
+                    contract(x, h, np.ones((3, 1)))
+                    gram(x[:2], x, h)
+                assert np.all(np.isnan(k) | (k >= 0.0))
 
 
 class TestContract:
@@ -98,7 +187,8 @@ class TestContract:
                             lambda *a: rows.append(a[0].shape[0]) or gram(*a))
         blocks = [min(self.ROWS, n - i0) for i0 in range(0, n, self.ROWS)]
         assert kernels_mod._exponent_factors(x, h) is not None
-        # First with GEMM-formed blocks, then with the guard forcing gram.
+        # First with GEMM-formed blocks, then with the guard forcing exact
+        # distances.
         for gemm in (True, False):
             if not gemm:
                 monkeypatch.setattr(kernels_mod, "_GEMM_LIMIT", 0.0)
@@ -113,7 +203,7 @@ class TestContract:
             else:
                 assert rows == []
             if n <= self.ROWS:
-                np.testing.assert_array_equal(out, expected)
+                np.testing.assert_array_equal(out, gram(x, x, h) @ v)
 
 
 def tight_far_cluster(n, d, distance, seed):
@@ -204,26 +294,29 @@ class TestGemmGuard:
 def median_sets(n, d, seed):
     """Sets whose median rule is hard to get right: a Gaussian cloud, a
     coarse lattice (many tied distances), a cloud with half its rows
-    repeated, one whose median distance is 0 (300 copies of one point, so
-    most pairs coincide), a coincident set and tight clusters near and far
-    from the cloud."""
+    repeated, one whose median distance is 0 at N >= 363 (300 of 363 rows
+    copies of one point, so most pairs coincide), a coincident set and
+    tight clusters near and far from the cloud."""
     rng = np.random.default_rng(seed)
     cloud = rng.standard_normal((n, d))
     half = cloud[:(n + 1) // 2]
+    copies = 300 * n // 363
     return {"gaussian": cloud,
             "ties": rng.integers(0, 3, size=(n, d)).astype(float),
             "duplicates": np.concatenate([half, half])[:n],
-            "zero_median": np.concatenate([np.repeat(cloud[:1], 300, axis=0),
-                                           cloud[300:]]),
+            "zero_median": np.concatenate([
+                np.repeat(cloud[:1], copies, axis=0), cloud[copies:]]),
             "coincident": np.full((n, d), 0.3),
             "near_cluster": tight_far_cluster(n, d, 10.0, seed),
             "far_cluster": tight_far_cluster(n, d, 30.0, seed)}
 
 
-def count_pdist(monkeypatch):
+def spy_condensed(monkeypatch):
+    """Log the ``gemm`` flag of each condensed buffer the median fills."""
     calls = []
-    monkeypatch.setattr(kernels_mod, "pdist",
-                        lambda *a: calls.append(1) or pdist(*a))
+    real = kernels_mod._condensed_d2
+    monkeypatch.setattr(kernels_mod, "_condensed_d2",
+                        lambda *a: calls.append(a[3]) or real(*a))
     return calls
 
 
@@ -242,12 +335,13 @@ class TestBlockedMedian:
         # Groups of 210 and 190 coincident particles: of the m = 79800
         # distances, exactly k = m / 2 are zero, so the lower middle value
         # is 0.  A GEMM residue there would be magnified by the square
-        # root; the guard refuses it and the result is the pdist rule's.
+        # root; the guard refuses it, the median fills a second buffer from
+        # exact distances, and the result is the pdist rule's.
         x = np.zeros((400, 2))
         x[210:] = [3.0, 1.0]
-        calls = count_pdist(monkeypatch)
+        calls = spy_condensed(monkeypatch)
         assert median_bandwidth(x) == median_reference(x)
-        assert len(calls) == 1
+        assert calls == [True, False]
 
     @pytest.mark.parametrize("d", [1, 4, 17, 64])
     def test_both_sides_of_the_limit(self, d, monkeypatch):
@@ -257,23 +351,39 @@ class TestBlockedMedian:
         n = 363
         x = tight_far_cluster(n, d, 10.0, seed=d)
         ref = median_reference(x)
-        xc = x - x.mean(axis=0)
-        ratio = np.max(np.sum(xc * xc, axis=1)) * np.sqrt(d + 2) / ref
-        calls = count_pdist(monkeypatch)
+        ratio = max_centred_norm2(x) * np.sqrt(d + 2) / ref
+        calls = spy_condensed(monkeypatch)
         limit = 1.01 * ratio
         monkeypatch.setattr(kernels_mod, "_GEMM_LIMIT", limit)
-        bound = 2.3 * np.finfo(float).eps * limit / np.log(n)
-        assert median_bandwidth(x) == pytest.approx(ref, rel=bound, abs=0)
-        assert calls == []
+        assert median_bandwidth(x) == pytest.approx(
+            ref, rel=median_bound(n, limit), abs=0)
+        assert calls == [True]
+        # Beyond the limit the distances come from differences, each within
+        # (D + 2) eps of pdist's relative.
         monkeypatch.setattr(kernels_mod, "_GEMM_LIMIT", 0.99 * ratio)
-        assert median_bandwidth(x) == ref
-        assert calls == [1]
+        assert median_bandwidth(x) == pytest.approx(
+            ref, rel=(d + 2) * EPS, abs=0)
+        assert calls == [True, True, False]
 
     def test_one_block_sets_select_from_pdist(self, monkeypatch):
-        calls = count_pdist(monkeypatch)
+        # The pdist rule's median, from one GEMM square per set; the exact
+        # distances only where the guard refuses the middle values: a zero
+        # or coincident median, or a cluster so far (max|x~|^2 about 700)
+        # that it exceeds the limit.
+        calls = spy(monkeypatch, "_gemm_square", "_exact_d2")
         for name, x in median_sets(362, 4, seed=1).items():
-            assert median_bandwidth(x) == median_reference(x), name
-        assert len(calls) == 7
+            calls.clear()
+            assert median_bandwidth(x) == pytest.approx(
+                median_reference(x), rel=median_bound(362), abs=0), name
+            refused = name in ("zero_median", "coincident", "far_cluster")
+            assert calls == ["_gemm_square"] + ["_exact_d2"] * refused, name
+
+    @pytest.mark.parametrize("d", [1, 4, 612])
+    @pytest.mark.parametrize("n", [2, 3, 7, 200, 362])
+    def test_one_block_sets_agree_with_pdist_oracle(self, n, d):
+        for name, x in median_sets(n, d, seed=n + d).items():
+            assert median_bandwidth(x) == pytest.approx(
+                median_reference(x), rel=median_bound(n), abs=0), name
 
 
 class TestSharedDistances:
@@ -282,10 +392,17 @@ class TestSharedDistances:
 
     @pytest.mark.parametrize("n", [2, 7, 200, 362])
     def test_one_block_set_carries_unpartitioned_distances(self, n):
+        # The (N, N) GEMM square that gram forms for x, within the GEMM
+        # bound of the pdist squares, with an exact zero diagonal.
         x = np.random.default_rng(n).standard_normal((n, 3))
         h = median_bandwidth(x)
         assert isinstance(h, kernels_mod.Bandwidth)
-        assert h.d2.tobytes() == pdist(x, "sqeuclidean").tobytes()
+        square = kernels_mod._gemm_square(*kernels_mod._centred(x))
+        assert h.d2.tobytes() == square.tobytes()
+        err = 2.3 * EPS * np.sqrt(3 + 2) * max_centred_norm2(x)
+        assert np.all(np.abs(h.d2 - squareform(pdist(x, "sqeuclidean")))
+                      <= err)
+        assert np.all(np.diag(h.d2) == 0.0)
         assert not h.d2.flags.writeable
         assert h.distances_for(x) is h.d2
 
@@ -307,9 +424,7 @@ class TestSharedDistances:
         x, v = rng.standard_normal((n, 4)), rng.standard_normal((n, 3))
         h = median_bandwidth(x)
         expected = gram(x, x, float(h)) @ v
-        calls = []
-        monkeypatch.setattr(kernels_mod, "cdist",
-                            lambda *a: calls.append(1) or cdist(*a))
+        calls = spy(monkeypatch, "_gemm_square", "_exact_d2")
         out = contract(x.copy(), h, v)
         assert calls == []
         assert out.tobytes() == expected.tobytes()
@@ -321,39 +436,37 @@ class TestSharedDistances:
         stored = h.d2.copy()
         x[4, 1] += 0.25                     # mutated after the bandwidth
         expected = gram(x, x, float(h)) @ v
-        calls = []
-        monkeypatch.setattr(kernels_mod, "cdist",
-                            lambda *a: calls.append(1) or cdist(*a))
+        calls = spy(monkeypatch, "_gemm_square", "_exact_d2")
         np.testing.assert_array_equal(contract(x, h, v), expected)
         assert h.distances_for(x) is None
         assert h.distances_for(x[:8]) is None
         h0 = median_bandwidth(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        calls.remove("_gemm_square")            # h0's own median
         assert h0.distances_for(np.array([[-0.0, 1.0], [2.0, 3.0]])) is None
-        assert len(calls) == 1
+        assert calls == ["_gemm_square"]
         assert h.d2.tobytes() == stored.tobytes()
         with pytest.raises(ValueError):
             h.d2[0] = 1.0
 
     def test_blocked_set_contracts_as_before(self, monkeypatch):
         # Blocks of 8 rows at n = 20: the median keeps no distances.  The
-        # contraction forms its 3 kernel blocks by GEMM, with no cdist, and
-        # with one cdist per block when the guard refuses the GEMM.
+        # contraction forms its 3 kernel blocks by GEMM, with no exact
+        # pass, and with one exact pass per block when the guard refuses
+        # the GEMM.
         n = 20
         monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 8 * n)
         rng = np.random.default_rng(4)
         x, v = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
         h = median_bandwidth(x)
         assert h.d2 is None
-        calls = []
-        monkeypatch.setattr(kernels_mod, "cdist",
-                            lambda *a: calls.append(1) or cdist(*a))
-        for cdist_calls in (0, 2 * 3):
-            if cdist_calls:
+        calls = spy(monkeypatch, "_gemm_square", "_exact_d2")
+        for exact_calls in (0, 2 * 3):
+            if exact_calls:
                 monkeypatch.setattr(kernels_mod, "_GEMM_LIMIT", 0.0)
             calls.clear()
             np.testing.assert_array_equal(contract(x, h, v),
                                           contract(x, float(h), v))
-            assert len(calls) == cdist_calls
+            assert calls == ["_exact_d2"] * exact_calls
 
 
 class TestKernelConfig:
@@ -375,23 +488,3 @@ class TestKernelConfig:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             KernelConfig("imq")
-
-
-class TestDeferredDistance:
-    def test_first_call_binds_the_scipy_function(self):
-        namespace = {}
-        namespace["pdist"] = stand_in = kernels_mod.deferred_distance(
-            namespace, "pdist")
-        x = np.random.default_rng(5).standard_normal((6, 3))
-        assert stand_in(x, "sqeuclidean").tobytes() == \
-            pdist(x, "sqeuclidean").tobytes()
-        assert namespace["pdist"] is pdist
-
-    def test_a_wrapper_bound_over_it_stays(self):
-        namespace, calls = {}, []
-        stand_in = kernels_mod.deferred_distance(namespace, "cdist")
-        namespace["cdist"] = spy = lambda *a: calls.append(1) or stand_in(*a)
-        x = np.ones((2, 2))
-        for _ in range(2):
-            namespace["cdist"](x, x)
-        assert namespace["cdist"] is spy and len(calls) == 2

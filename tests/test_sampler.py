@@ -280,7 +280,7 @@ class TestSingleParticle:
     def test_no_kernel_is_built(self, monkeypatch):
         calls = count_pairwise_passes(monkeypatch)
         for module, name in ((sampler_mod, "contract"), (kernels_mod, "gram"),
-                             (kernels_mod, "squareform")):
+                             (kernels_mod, "_gemm_factors")):
             monkeypatch.setattr(
                 module, name, lambda *a, _n=name: calls.append(_n))
         for kind in KINDS:
@@ -472,11 +472,20 @@ class TestBlob:
 
     @pytest.mark.parametrize("offset", [0.0, 100.0, 1000.0])
     def test_offset_cloud_keeps_rounding_accuracy(self, offset):
-        # Uncentred sums cancel terms of size |x|: 7.1e-13 at offset 1000.
+        # Uncentred sums cancel terms of size |x|: 6.8e-14 at offset 100 and
+        # 7.1e-13 at offset 1000.  The centred estimate's error does not
+        # grow with the offset: each kernel entry is within the relative
+        # GEMM bound delta = 2.3 eps sqrt(D + 2) max|x~|^2 / h of exact (x~
+        # centred, so delta does not depend on the offset either), and each
+        # term of the estimate is a ratio of two kernel sums.
         x = np.random.default_rng(47).standard_normal((40, 2)) + offset
         ref = blob_score_reference(x, 1.3)
         err = np.abs(blob_grad_log_density(x, 1.3) - ref)
-        assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+        xc = x - x.mean(axis=0)
+        delta = 2.3 * np.finfo(float).eps * np.sqrt(2 + 2) \
+            * np.max(np.sum(xc * xc, axis=1)) / 1.3
+        tol = (1e-15 + 2 * delta) * np.maximum(1.0, np.abs(ref))
+        assert np.all(err <= tol)
 
     def test_score_rmse_on_gaussian_sample(self):
         rng = np.random.default_rng(0)
@@ -599,9 +608,11 @@ class TestResampleMomentum:
 
 
 def count_pairwise_passes(monkeypatch):
-    """Log each ``pdist`` and ``cdist`` the kernel layer makes."""
+    """Log each pass over a set's pairwise distances the kernel layer
+    makes: a one-block GEMM square (``_gemm_square``) or one formed from
+    coordinate differences (``_exact_d2``)."""
     calls = []
-    for name in ("pdist", "cdist"):
+    for name in ("_gemm_square", "_exact_d2"):
         real = getattr(kernels_mod, name)
         monkeypatch.setattr(
             kernels_mod, name,
@@ -632,7 +643,7 @@ class TestSharedPairwisePass:
             calls.clear()
             h = KernelConfig("median").bandwidth(X)
             euler_step(X, lambda Y: field(Y, target, spec, h), 0.05)
-            assert calls == ["pdist"], field.__name__
+            assert calls == ["_gemm_square"], field.__name__
 
     def test_split_step_shares_only_the_first_sub_state(self, monkeypatch):
         spec, target = make_spec("HMC")
@@ -641,15 +652,17 @@ class TestSharedPairwisePass:
         h = KernelConfig("median").bandwidth(X)
         symmetric_split_step(
             X, lambda Y: gsvgd_velocity(Y, target, spec, h), 0.05, spec)
-        assert calls == ["pdist", "cdist", "cdist"]
+        # The median's square serves the first sub-state; the other two
+        # form their own.
+        assert calls == ["_gemm_square"] * 3
 
     @pytest.mark.parametrize("split", [False, True])
     def test_blocked_set_keeps_one_pass_per_kernel_block(self, split,
                                                          monkeypatch):
         # Blocks of 8 rows at n = 20: 3 kernel blocks per field.  The median
-        # and the blocks are formed by GEMM, with no pdist or cdist; when the
-        # guard refuses the GEMM, the median takes one pdist and each block
-        # one cdist.
+        # and the blocks are formed by GEMM, with no square and no exact
+        # pass; when the guard refuses the GEMM, the median and each kernel
+        # block take one exact pass per block.
         n = 20
         monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 8 * n)
         spec, target = make_spec("HMC")
@@ -669,7 +682,7 @@ class TestSharedPairwisePass:
             else:
                 euler_step(X, field, 0.05)
             blocks = 3 * (3 if split else 1)
-            assert calls == ([] if gemm else ["pdist"] + ["cdist"] * blocks)
+            assert calls == ([] if gemm else ["_exact_d2"] * (3 + blocks))
 
     def test_stored_distances_survive_a_step(self):
         spec, target = make_spec("RLD")
