@@ -134,7 +134,7 @@ def mode_occupancy(theta: Array, centers: Sequence[Array],
     within = dists[np.arange(theta.shape[0]), nearest] <= radius
     fractions = np.array([
         np.mean(within & (nearest == k)) for k in range(centers.shape[0])])
-    return fractions, float(1.0 - fractions.sum())
+    return fractions, float(np.mean(~within))
 
 
 def test_log_likelihood(theta: Array, dataset: bnn.Dataset,

@@ -53,6 +53,8 @@ KINDS = ("LD", "RLD", "HMC", "NHT", "RHMC", "ThirdOrder")
 KINDS_WITH_R = ("HMC", "NHT", "RHMC", "ThirdOrder")
 KINDS_WITH_XI = ("NHT", "ThirdOrder")
 RIEMANN_KINDS = ("RLD", "RHMC")
+# Floor on the square root of the Riemannian metric (:class:`RiemannConfig`).
+_SQRT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -60,20 +62,17 @@ class RiemannConfig:
     """Scalar metric ``Ginv(theta) = d_scale * sqrt(|U(theta) + c_offset|)``.
 
     ``U(theta) = -logp(theta)`` is the energy of the base (theta-space)
-    target.  The square root is floored at ``sqrt_floor`` so the metric and
-    its reciprocal stay finite where ``U + c_offset`` crosses zero.
+    target.  The square root is floored at ``_SQRT_FLOOR`` so the metric
+    and its reciprocal stay finite where ``U + c_offset`` crosses zero.
     """
 
     base: TargetDensity
     d_scale: float = 1.5
     c_offset: float = 0.5
-    sqrt_floor: float = 1e-8
 
     def __post_init__(self):
         if self.d_scale <= 0:
             raise ValueError("d_scale must be positive (A must stay PSD)")
-        if self.sqrt_floor <= 0:
-            raise ValueError("sqrt_floor must be positive")
 
     def metric(self, theta: Array) -> tuple[Array, Array]:
         """Return ``(s, ds)``: the metric scalar per row and its theta-gradient.
@@ -83,8 +82,8 @@ class RiemannConfig:
         """
         u = -self.base.logp_many(theta) + self.c_offset
         root = np.sqrt(np.abs(u))
-        active = root > self.sqrt_floor
-        s = self.d_scale * np.maximum(root, self.sqrt_floor)
+        active = root > _SQRT_FLOOR
+        s = self.d_scale * np.maximum(root, _SQRT_FLOOR)
         du = -self.base.grad_many(theta)
         with np.errstate(divide="ignore", invalid="ignore"):
             ds = self.d_scale * np.sign(u)[:, None] * du / (2.0 * root[:, None])
@@ -108,33 +107,13 @@ class StructuredAC:
     a: Array | float
     couplings: tuple[tuple[Array | float, slice, slice], ...] = ()
 
-    @cached_property
-    def terms(self) -> tuple[tuple[Array | float, tuple[slice, ...]], ...]:
-        """Each coefficient with the source column blocks it multiplies:
-        ``a`` on all columns, then each coupling on ``w`` and on ``u``.
-        Flattened, this is the order in which :meth:`combine` takes its
-        parts."""
-        return ((self.a, (slice(None),)),) + tuple(
-            (c, (w, u)) for c, u, w in self.couplings)
-
-    def combine(self, parts) -> Array:
-        """Assemble ``(A + C)`` applied blockwise from its products.
-
-        ``parts`` holds, in :meth:`terms` order, a new (N, |s|) array per
-        coefficient ``c`` and source block ``s``: ``c`` times the quantity
-        ``(A + C)`` acts on, restricted to columns ``s``.
-        """
-        parts = iter(parts)
-        out = next(parts)
-        for _, u, w in self.couplings:
-            out[:, u] -= next(parts)
-            out[:, w] += next(parts)
-        return out
-
     def apply(self, V: Array) -> Array:
         """Row-wise ``(A + C) v`` for an (N, D) batch of vectors."""
-        return self.combine([c * V[:, s] for c, sources in self.terms
-                             for s in sources])
+        out = self.a * V
+        for c, u, w in self.couplings:
+            out[:, u] -= c * V[:, w]
+            out[:, w] += c * V[:, u]
+        return out
 
 
 @dataclass(frozen=True)

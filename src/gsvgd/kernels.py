@@ -1,5 +1,5 @@
-"""Squared-exponential kernel: median-heuristic bandwidth, Gram matrix and
-the kernel-weighted sums over a particle set.
+"""Squared-exponential kernel: median-heuristic bandwidth and the
+kernel-weighted sums over a particle set.
 
 Convention: ``k(x, y) = exp(-||x - y||^2 / h)`` with bandwidth
 ``h = med^2 / log N``, where ``med`` is the median of the off-diagonal
@@ -24,9 +24,9 @@ squared distances from coordinate differences instead (:func:`_exact_d2`).
 A one-block set (N <= 362) forms the square matrix of its squared distances
 once: the median bandwidth selects from its strict upper triangle and keeps
 it, and a contraction at that bandwidth over the same positions builds its
-kernel from it, bit for bit as ``gram`` would.  A larger set fills one
-buffer of its N(N-1)/2 distances for the median, and forms each kernel
-block of the contraction as ``exp`` of one GEMM.
+kernel from it instead of forming the same square again.  A larger set
+fills one buffer of its N(N-1)/2 distances for the median, and forms each
+kernel block of the contraction as ``exp`` of one GEMM.
 
 Nothing here uses scipy: importing ``scipy.spatial`` for a distance would
 also load ``scipy.linalg``, which costs more memory than a run's own arrays
@@ -79,8 +79,8 @@ class Bandwidth(float):
     """A kernel bandwidth that may carry the squared distances behind it.
 
     :func:`median_bandwidth` of a one-block set keeps its (N, N) squared
-    distances (read-only), exactly those ``gram`` forms at this bandwidth,
-    together with the shape and bytes of the positions they came from;
+    distances (read-only), exactly those :func:`contract` would form at this
+    bandwidth, with the shape and bytes of the positions they came from;
     :func:`contract` builds its kernel from them when it is given this
     bandwidth and the same positions.  Arithmetic on it gives a plain
     float, so ``float(h)`` or any derived value carries nothing.
@@ -237,7 +237,8 @@ def median_bandwidth(positions, h_min: float = 1e-6) -> Bandwidth:
     ``2.3 * eps * 2**9 / log N`` relative; where the rounding bound below
     does not hold, it selects from exact distances (:func:`_exact_d2`)
     instead.  A one-block result carries its (N, N) squared distances when
-    they are those ``gram`` forms at this bandwidth (:class:`Bandwidth`).
+    they are those :func:`contract` forms at this bandwidth
+    (:class:`Bandwidth`).
     """
     positions = np.asarray(positions, dtype=float)
     if (positions.ndim != 2 or positions.shape[0] < 1
@@ -283,35 +284,10 @@ def median_bandwidth(positions, h_min: float = 1e-6) -> Bandwidth:
     if not gemm:
         S = _exact_d2(positions, positions)
         h = _median_rule(S.take(upper), n, h_min)[0]
-    # Carry S where it is what gram forms at this h: the GEMM matrix where
-    # its guard admits h, else the exact one.
+    # Carry S where it is what contract forms at this h: the GEMM matrix
+    # where its guard admits h, else the exact one.
     return Bandwidth(h, S if gemm == _gemm_admits(s_max, d, h) else None,
                      positions)
-
-
-def gram(Xa: Array, Xb: Array, h: float) -> Array:
-    """Kernel matrix ``exp(-||Xa_i - Xb_j||^2 / h)``, built in place in its
-    squared distances.
-
-    Those come from one GEMM on coordinates centred at the mean of ``Xb``
-    while ``_GEMM_LIMIT`` admits ``h``, else from :func:`_exact_d2`.  For
-    ``Xa is Xb`` they are the (N, N) matrix of :func:`_gemm_square`, with a
-    zero diagonal, so the kernel's diagonal is exactly 1 and it is bit for
-    bit the one built from a median bandwidth's stored distances.
-    """
-    # The mean as _centred takes it, so Xa is Xb gives the median's bits.
-    centre = np.add.reduce(Xb, axis=0) / Xb.shape[0]
-    Yc, sy = _centred(Xb, centre)
-    Xc, sx = (Yc, sy) if Xa is Xb else _centred(Xa, centre)
-    s_max = max(float(sx.max()), float(sy.max()))
-    if not _gemm_admits(s_max, Xb.shape[1], h):
-        K = _exact_d2(Xa, Xb)
-    elif Xa is Xb:
-        K = _gemm_square(Yc, sy)
-    else:
-        P, Q = _gemm_factors(Xc, -2.0, sx, Yc, sy)
-        K = P @ Q.T
-    return np.exp(np.divide(K, -h, out=K), out=K)
 
 
 def _exponent_factors(X: Array, h: float):
@@ -325,37 +301,44 @@ def _exponent_factors(X: Array, h: float):
 
 
 def contract(X: Array, h: float, V: Array) -> Array:
-    """``gram(X, X, h) @ V`` for (N, D) ``X`` and (N, m) ``V``.
+    """``K @ V`` for the kernel matrix ``K`` of an (N, D) set ``X`` at
+    bandwidth ``h`` and an (N, m) ``V``.
 
-    A set of at most one block is one ``gram`` and one matmul; when ``h``
-    is a :class:`Bandwidth` holding the distances of this ``X``, the kernel
-    is built from them (bitwise equal to ``gram``).  A larger set
-    is swept in row blocks ``I = [i0, i1)``: the block's kernel rows are
-    built against the trailing columns ``i0:`` only, and by symmetry
-    ``K[I, i1:]`` also gives ``K[i1:, I]``, so each off-diagonal pair is
-    built once and both of its uses read it while it is in cache.  Each
-    block is ``exp`` of one GEMM of the centred factors of
-    :func:`_exponent_factors`, with its diagonal set to exactly 1; where
-    those factors' rounding bound does not hold, the block is ``gram``
-    instead.  Blocking reorders the sums and the blocks' exponents round
-    differently from one ``gram``, so for a larger set the result agrees
-    with one ``gram`` and one matmul to about 1e-12 relative to
-    ``max(1, |K @ V|)``; it is bit for bit only for a one-block set.
+    A set of at most one block builds ``K = exp(d2 / -h)`` in place in its
+    (N, N) squared distances: those a :class:`Bandwidth` carries for this
+    ``X``, else the set's own :func:`_gemm_square` while the guard admits
+    ``h``, else :func:`_exact_d2`.  For a finite set its diagonal is
+    exactly 1, and the result is one matmul.  A larger set is swept in row blocks
+    ``I = [i0, i1)``: the block's kernel rows are built against the
+    trailing columns ``i0:`` only, and by symmetry ``K[I, i1:]`` also gives
+    ``K[i1:, I]``, so each off-diagonal pair is built once and both of its
+    uses read it while it is in cache.  Each block is ``exp`` of one GEMM
+    of the centred factors of :func:`_exponent_factors`, with its diagonal
+    set to exactly 1; where those factors' rounding bound does not hold,
+    each block's exponent comes from :func:`_exact_d2` instead.  Blocking
+    reorders the sums, so for a larger set the result agrees with the dense
+    product to about 1e-12 relative to ``max(1, |K @ V|)``.
     """
     n = X.shape[0]
     rows = _rows_per_block(n)
     if n <= rows:
         d2 = h.distances_for(X) if isinstance(h, Bandwidth) else None
         if d2 is None:
-            return gram(X, X, h) @ V
-        K = np.divide(d2, -h)
+            Xc, s = _centred(X)
+            d2 = (_gemm_square(Xc, s)
+                  if _gemm_admits(float(s.max()), X.shape[1], h)
+                  else _exact_d2(X, X))
+            K = np.divide(d2, -h, out=d2)
+        else:
+            K = d2 / -h
         return np.exp(K, out=K) @ V
     S = np.zeros((n, V.shape[1]))
     factors = _exponent_factors(X, h)
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
         if factors is None:
-            K = gram(X[i0:i1], X[i0:], h)
+            K = _exact_d2(X[i0:i1], X[i0:])
+            np.exp(np.divide(K, -h, out=K), out=K)
         else:
             K = factors[0][i0:i1] @ factors[1][i0:].T
             np.exp(K, out=K)

@@ -34,9 +34,9 @@ vanishes, so every field returns its drift after the bandwidth and drift
 checks, and builds no kernel.  It returns ``F + 0.0``, which turns a
 ``-0.0`` entry into ``+0.0`` as the self-term sum would.  One-particle SVGD
 is thus gradient ascent, and a one-particle split step classic leapfrog.
-The kernel is bit for bit ``gram``'s only for a one-block set
-(:mod:`gsvgd.kernels`); a field agrees with the dense per-pair formula to
-about 1e-12 at any size.
+A field agrees with the dense per-pair formula to about 1e-12 at any
+size; a one-block set (N <= 362) builds its whole kernel matrix at once,
+a larger one in row blocks (:mod:`gsvgd.kernels`).
 Any non-finite intermediate aborts with the offending particle index rather
 than being clipped.
 """
@@ -112,8 +112,9 @@ def _stein_velocity(X: Array, F: Array, ac: StructuredAC, h: float) -> Array:
     ``(K c)_i`` (for a constant ``c``, ``c`` times the kernel row sum).
     Every kernel sum comes from one contraction ``K @ V``: ``V`` is
     ``F - (2/h) M x~``, then a ones column when some coefficient is
-    constant, then each per-particle coefficient.  When every coefficient
-    is constant, ``Mbar_i x~_i`` is the row sum times ``M x~_i``.  A single
+    constant, then each per-particle coefficient.  ``Mbar`` is then a
+    :class:`StructuredAC` applied to ``x~``; when every coefficient is
+    constant, ``Mbar_i x~_i`` is the row sum times ``M x~_i``.  A single
     particle has ``x~ = 0`` and ``K = [[1]]``, so its field is ``F + 0.0``
     (see the module docstring), returned without building the kernel.
     """
@@ -124,20 +125,21 @@ def _stein_velocity(X: Array, F: Array, ac: StructuredAC, h: float) -> Array:
     Xc = X - X.mean(axis=0)
     Xc *= 2.0 / h
     MX = ac.apply(Xc)
-    per = [c for c, _ in ac.terms if _per_particle(c)]
-    constant = len(per) < len(ac.terms)
+    coefficients = [ac.a] + [c for c, _, _ in ac.couplings]
+    per = [c for c in coefficients if _per_particle(c)]
+    constant = len(per) < len(coefficients)
     blocks = [F - MX] + ([np.ones((n, 1))] if constant else [])
     KV, *rest = _contract_blocks(X, h, blocks + per)
     if not per:
         MX *= rest[0]
         out = MX
     else:
-        k_sum = rest.pop(0) if constant else None
-        rest, parts = iter(rest), []
-        for c, sources in ac.terms:
-            Kc = next(rest) if _per_particle(c) else c * k_sum
-            parts += [Kc * Xc[:, s] for s in sources]
-        out = ac.combine(parts)
+        sums = iter(rest)
+        k_sum = next(sums) if constant else None
+        a, *cs = [next(sums) if _per_particle(c) else c * k_sum
+                  for c in coefficients]
+        out = StructuredAC(a, tuple(
+            (Kc, u, w) for Kc, (_, u, w) in zip(cs, ac.couplings))).apply(Xc)
     out += KV
     out /= n
     return out

@@ -138,12 +138,12 @@ def blob_score_reference(positions, h):
 
 
 def _metric(riemann, theta):
-    """``Ginv(theta) = d_scale * max(sqrt(|U + c_offset|), floor)`` and its
+    """``Ginv(theta) = d_scale * max(sqrt(|U + c_offset|), 1e-8)`` and its
     gradient (zero where the floor is active), with ``U = -logp``."""
     u = -logp(riemann.base, theta) + riemann.c_offset
     root = np.sqrt(abs(u))
-    if root <= riemann.sqrt_floor:
-        return riemann.d_scale * riemann.sqrt_floor, np.zeros_like(theta)
+    if root <= 1e-8:
+        return riemann.d_scale * 1e-8, np.zeros_like(theta)
     du = -grad_logp(riemann.base, theta)
     grad = riemann.d_scale * np.sign(u) * du / (2.0 * root)
     return riemann.d_scale * root, grad

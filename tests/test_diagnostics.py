@@ -136,7 +136,7 @@ class TestModeOccupancy:
         expected = [np.mean(within & (nearest == k)) for k in range(3)]
         fractions, unassigned = mode_occupancy(x, centers, 1.2)
         np.testing.assert_array_equal(fractions, expected)
-        assert unassigned == 1.0 - fractions.sum()
+        assert unassigned == np.mean(~within)
 
     def test_all_at_first_center(self):
         x = np.zeros((10, 2))
@@ -155,7 +155,17 @@ class TestModeOccupancy:
         pos = np.repeat(centers, 100, axis=0)
         fractions, unassigned = mode_occupancy(pos, centers, 1.0)
         np.testing.assert_allclose(fractions, [1 / 3, 1 / 3, 1 / 3])
-        assert unassigned == pytest.approx(0.0, abs=1e-12)
+        assert unassigned == 0.0
+
+    def test_every_particle_assigned_leaves_exactly_zero(self):
+        # 1/6 + 4/6 + 1/6 sums to 1 - 1.1e-16 in floating point, so
+        # 1 - sum(fractions) would leave a residue; no particle is
+        # unassigned.
+        centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        pos = np.repeat(centers, [1, 4, 1], axis=0)
+        fractions, unassigned = mode_occupancy(pos, centers, 1.0)
+        np.testing.assert_array_equal(fractions, [1 / 6, 4 / 6, 1 / 6])
+        assert unassigned == 0.0
 
     def test_unassigned_fraction(self):
         pos = np.array([[0.0, 0.0], [50.0, 50.0]])

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
 import gsvgd.kernels as kernels_mod
-from gsvgd.kernels import KernelConfig, contract, gram, median_bandwidth
+from gsvgd.kernels import KernelConfig, contract, median_bandwidth
 
 EPS = np.finfo(float).eps
 
@@ -27,6 +27,11 @@ def max_centred_norm2(*sets):
     centre = sets[-1].mean(axis=0)
     return max(float(np.max(np.sum((x - centre) ** 2, axis=1)))
                for x in sets)
+
+
+def gemm_kernel(x, h):
+    """The one-block kernel matrix from the set's own GEMM square."""
+    return np.exp(kernels_mod._gemm_square(*kernels_mod._centred(x)) / -h)
 
 
 def spy(monkeypatch, *names):
@@ -101,48 +106,51 @@ class TestMedianBandwidth:
 
 
 class TestGram:
-    @pytest.mark.parametrize("na,nb,d", [(1, 1, 1), (5, 9, 3), (64, 200, 4)])
-    def test_equals_exp_of_cdist_bitwise(self, na, nb, d):
+    """The one-block kernel matrix, which ``contract`` returns exactly
+    against the identity."""
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (9, 3), (200, 4)])
+    def test_one_set_equals_exp_of_cdist(self, n, d):
         # Where the guard admits h, each exponent is within the GEMM bound
         # 2.3 eps sqrt(D + 2) max|x~|^2 / h of -cdist / h; elsewhere the
         # distances come from differences, each within (D + 2) eps of
         # cdist's relative.  exp adds a rounding of its own.
-        rng = np.random.default_rng(na + nb + d)
-        xa, xb = rng.standard_normal((na, d)), rng.standard_normal((nb, d))
-        s_max = max_centred_norm2(xa, xb)
+        x = np.random.default_rng(n + d).standard_normal((n, d))
+        s_max = max_centred_norm2(x)
         for h in (1e-3, 0.7, 3.0, 1e4):
-            exponent = cdist(xa, xb, "sqeuclidean") / h
+            exponent = cdist(x, x, "sqeuclidean") / h
             expected = np.exp(-exponent)
             if kernels_mod._gemm_admits(s_max, d, h):
                 err = 2.3 * EPS * np.sqrt(d + 2) * s_max / h
             else:
                 err = (d + 2) * EPS * exponent
-            assert np.all(np.abs(gram(xa, xb, h) - expected)
+            assert np.all(np.abs(contract(x, h, np.eye(n)) - expected)
                           <= expected * (1.01 * err + 2 * EPS)), h
 
     def test_a_set_against_itself_has_a_unit_diagonal(self):
         x = np.random.default_rng(6).standard_normal((30, 3))
         for h in (0.7, 1e-3):                   # GEMM, then differences
-            assert np.all(np.diag(gram(x, x, h)) == 1.0)
+            assert np.all(np.diag(contract(x, h, np.eye(30))) == 1.0)
 
     @pytest.mark.parametrize("d", [1, 4, 17])
     def test_refused_set_takes_exact_distances(self, d, monkeypatch):
         # A tight cluster far from the cloud is beyond the guard at this h:
-        # gram forms its distances from differences, within 1e-15 of cdist
-        # relative, and so does the median for a set whose middle distances
-        # the guard refuses.
+        # the kernel forms its distances from differences, within 1e-15 of
+        # cdist relative (also against another set, as the mode occupancy
+        # uses them), and so does the median for a set whose middle
+        # distances the guard refuses.
         x = tight_far_cluster(40, d, 1e4, seed=d)
         y = np.random.default_rng(d).standard_normal((7, d))
-        calls = spy(monkeypatch, "_exact_d2")
-        for xa, xb in ((x, x), (y, x)):
-            assert not kernels_mod._gemm_admits(max_centred_norm2(xa, xb), d,
-                                                1.0)
-            d2 = kernels_mod._exact_d2(xa, xb)
-            np.testing.assert_allclose(d2, cdist(xa, xb, "sqeuclidean"),
+        assert not kernels_mod._gemm_admits(max_centred_norm2(x), d, 1.0)
+        for xa in (x, y):
+            np.testing.assert_allclose(kernels_mod._exact_d2(xa, x),
+                                       cdist(xa, x, "sqeuclidean"),
                                        rtol=1e-15, atol=0)
-            np.testing.assert_array_equal(gram(xa, xb, 1.0),
-                                          np.exp(d2 / -1.0))
-        assert calls == ["_exact_d2"] * 4
+        expected = np.exp(kernels_mod._exact_d2(x, x) / -1.0)
+        calls = spy(monkeypatch, "_exact_d2")
+        np.testing.assert_array_equal(contract(x, 1.0, np.eye(40)),
+                                      expected)
+        assert calls == ["_exact_d2"]
         calls.clear()
         # Five of six particles within about 1e-3 of each other: m = 15 and
         # the median is one of their 10 distances, far below max|x~|.
@@ -164,9 +172,8 @@ class TestGram:
             assert np.isinf(median_bandwidth(big).d2).sum() == 4
             for x in (big, bad):
                 for h in (1.0, 1e300):
-                    k = gram(x, x, h)
+                    k = contract(x, h, np.eye(3))
                     contract(x, h, np.ones((3, 1)))
-                    gram(x[:2], x, h)
                 assert np.all(np.isnan(k) | (k >= 0.0))
 
 
@@ -179,31 +186,34 @@ class TestContract:
         rng = np.random.default_rng(n)
         x, v = rng.standard_normal((n, 3)), rng.standard_normal((n, 5))
         h = 1.7
-        expected = gram(x, x, h) @ v
-        # Blocks of ROWS rows at this n; record the rows of each gram built.
+        dense = {True: gemm_kernel(x, h) @ v,
+                 False: np.exp(kernels_mod._exact_d2(x, x) / -h) @ v}
+        # Blocks of ROWS rows at this n; log each distance pass.
         monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", self.ROWS * n)
-        rows = []
-        monkeypatch.setattr(kernels_mod, "gram",
-                            lambda *a: rows.append(a[0].shape[0]) or gram(*a))
-        blocks = [min(self.ROWS, n - i0) for i0 in range(0, n, self.ROWS)]
+        calls = spy(monkeypatch, "_gemm_square", "_exact_d2")
+        blocks = len(range(0, n, self.ROWS))
         assert kernels_mod._exponent_factors(x, h) is not None
         # First with GEMM-formed blocks, then with the guard forcing exact
         # distances.
         for gemm in (True, False):
             if not gemm:
                 monkeypatch.setattr(kernels_mod, "_GEMM_LIMIT", 0.0)
-            rows.clear()
+            calls.clear()
             out = contract(x, h, v)
-            np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(out, dense[True], rtol=1e-13,
+                                       atol=1e-13)
             np.testing.assert_array_equal(contract(x, h, v), out)
-            # One set is one gram per call; a blocked sweep builds no gram
-            # when the guard admits it, else one per row block.
-            if n <= self.ROWS or not gemm:
-                assert rows == 2 * blocks
-            else:
-                assert rows == []
+            # One set is one square per call (by GEMM for one particle,
+            # whose max|x~|^2 = 0 is within any limit); a blocked sweep
+            # forms no square, and one exact pass per row block where the
+            # guard refuses the GEMM.
             if n <= self.ROWS:
-                np.testing.assert_array_equal(out, gram(x, x, h) @ v)
+                gemm_square = gemm or n == 1
+                assert calls == 2 * ["_gemm_square" if gemm_square
+                                     else "_exact_d2"]
+                np.testing.assert_array_equal(out, dense[gemm])
+            else:
+                assert calls == ([] if gemm else 2 * blocks * ["_exact_d2"])
 
 
 def tight_far_cluster(n, d, distance, seed):
@@ -217,14 +227,15 @@ def tight_far_cluster(n, d, distance, seed):
     return x
 
 
-def gram_sweep(x, h, v):
-    """``contract``'s symmetric row-block sweep with every block a gram."""
+def exact_sweep(x, h, v):
+    """``contract``'s symmetric row-block sweep with every block's exponent
+    formed from coordinate differences."""
     n = x.shape[0]
     rows = kernels_mod._rows_per_block(n)
     out = np.zeros((n, v.shape[1]))
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        k = gram(x[i0:i1], x[i0:], h)
+        k = np.exp(kernels_mod._exact_d2(x[i0:i1], x[i0:]) / -h)
         out[i0:i1] += k @ v[i0:]
         out[i1:] += k[:, i1 - i0:].T @ v[i0:i1]
     return out
@@ -247,13 +258,13 @@ class TestGemmGuard:
         # relative to max(1, |K @ V|).
         h = scale / (0.99 * limit)
         assert kernels_mod._exponent_factors(x, h) is not None
-        expected = gram(x, x, h) @ v
+        expected = gemm_kernel(x, h) @ v
         err = np.abs(contract(x, h, v) - expected)
         assert np.max(err / np.maximum(1.0, np.abs(expected))) <= 1e-12
-        # Just over it: bitwise the gram sweep.
+        # Just over it: bitwise the exact-difference sweep.
         h = scale / (1.01 * limit)
         assert kernels_mod._exponent_factors(x, h) is None
-        assert contract(x, h, v).tobytes() == gram_sweep(x, h, v).tobytes()
+        assert contract(x, h, v).tobytes() == exact_sweep(x, h, v).tobytes()
 
     def test_gemm_kernel_has_a_unit_diagonal(self):
         # Against the identity, contract returns its kernel matrix exactly.
@@ -271,7 +282,7 @@ class TestGemmGuard:
         v = np.random.default_rng(d + 1).standard_normal((n, 9))
         h = median_bandwidth(x)
         assert kernels_mod._exponent_factors(x, h) is not None
-        expected = gram(x, x, h) @ v
+        expected = gemm_kernel(x, h) @ v
         err = np.abs(contract(x, h, v) - expected)
         assert np.max(err / np.maximum(1.0, np.abs(expected))) <= 1e-12
 
@@ -280,7 +291,7 @@ class TestGemmGuard:
         v = np.random.default_rng(8).standard_normal((363, 5))
         h = 1e-2
         assert kernels_mod._exponent_factors(x, h) is None
-        assert contract(x, h, v).tobytes() == gram_sweep(x, h, v).tobytes()
+        assert contract(x, h, v).tobytes() == exact_sweep(x, h, v).tobytes()
 
     def test_non_finite_set_takes_gram_without_warnings(self):
         x = np.random.default_rng(9).standard_normal((363, 2))
@@ -288,7 +299,7 @@ class TestGemmGuard:
         v = np.ones((363, 1))
         assert kernels_mod._exponent_factors(x, 0.5) is None
         np.testing.assert_array_equal(contract(x, 0.5, v),
-                                      gram_sweep(x, 0.5, v))
+                                      exact_sweep(x, 0.5, v))
 
 
 def median_sets(n, d, seed):
@@ -392,7 +403,7 @@ class TestSharedDistances:
 
     @pytest.mark.parametrize("n", [2, 7, 200, 362])
     def test_one_block_set_carries_unpartitioned_distances(self, n):
-        # The (N, N) GEMM square that gram forms for x, within the GEMM
+        # The (N, N) GEMM square that contract forms for x, within the GEMM
         # bound of the pdist squares, with an exact zero diagonal.
         x = np.random.default_rng(n).standard_normal((n, 3))
         h = median_bandwidth(x)
@@ -423,7 +434,7 @@ class TestSharedDistances:
         rng = np.random.default_rng(n + 1)
         x, v = rng.standard_normal((n, 4)), rng.standard_normal((n, 3))
         h = median_bandwidth(x)
-        expected = gram(x, x, float(h)) @ v
+        expected = contract(x, float(h), v)
         calls = spy(monkeypatch, "_gemm_square", "_exact_d2")
         out = contract(x.copy(), h, v)
         assert calls == []
@@ -435,7 +446,7 @@ class TestSharedDistances:
         h = median_bandwidth(x)
         stored = h.d2.copy()
         x[4, 1] += 0.25                     # mutated after the bandwidth
-        expected = gram(x, x, float(h)) @ v
+        expected = contract(x, float(h), v)
         calls = spy(monkeypatch, "_gemm_square", "_exact_d2")
         np.testing.assert_array_equal(contract(x, h, v), expected)
         assert h.distances_for(x) is None

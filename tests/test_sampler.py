@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import gsvgd.kernels as kernels_mod
 import gsvgd.sampler as sampler_mod
-from gsvgd.dynamics import KINDS, DynamicsSpec, StructuredAC
+from gsvgd.dynamics import KINDS, DynamicsSpec
 from gsvgd.errors import NumericalError
 from gsvgd.integrator import euler_step, symmetric_split_step
-from gsvgd.kernels import KernelConfig, gram, median_bandwidth
+from gsvgd.kernels import KernelConfig, median_bandwidth
 from gsvgd.sampler import (blob_grad_log_density, check_finite,
                            gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
                            parvi_blob_velocity, resample_momentum)
@@ -209,7 +210,8 @@ class TestStackedRightHandSide:
         spec, target = make_spec(kind, friction=0.4, sigma2=0.8, mu=1.5)
         F, ac = spec.drift_many(x, target)
         folded = F - ac.apply((x - x.mean(axis=0)) * (2.0 / 1.1))
-        per = [c for c, _ in ac.terms if np.ndim(c) == 2]
+        per = [c for c in [ac.a] + [c for c, _, _ in ac.couplings]
+               if np.ndim(c) == 2]
         np.testing.assert_array_equal(
             V, np.column_stack([folded, np.ones(x.shape[0])] + per))
 
@@ -217,14 +219,18 @@ class TestStackedRightHandSide:
 def uncentred_field(x, target, spec, h, curl=True):
     """The Stein field with its kernel-gradient sums formed from uncentred
     positions, ``sum_j K_ij c_j (x_i - x_j) = x_i (K c)_i - (K (c x))_i``,
-    over a dense kernel matrix."""
+    over a dense ``cdist`` kernel matrix."""
     F, ac = spec.drift_many(x, target)
-    if not curl:
-        ac = StructuredAC(ac.a)
-    K = gram(x, x, h)
-    parts = [x[:, s] * (K @ (c * np.ones((len(x), 1)))) - K @ (c * x[:, s])
-             for c, sources in ac.terms for s in sources]
-    return (K @ F + (2.0 / h) * ac.combine(parts)) / len(x)
+    K = np.exp(cdist(x, x, "sqeuclidean") / -h)
+
+    def part(c, s):
+        return x[:, s] * (K @ (c * np.ones((len(x), 1)))) - K @ (c * x[:, s])
+
+    grad = part(ac.a, slice(None))
+    for c, u, w in ac.couplings if curl else ():
+        grad[:, u] -= part(c, w)
+        grad[:, w] += part(c, u)
+    return (K @ F + (2.0 / h) * grad) / len(x)
 
 
 class TestFoldedContraction:
@@ -279,7 +285,7 @@ class TestSingleParticle:
 
     def test_no_kernel_is_built(self, monkeypatch):
         calls = count_pairwise_passes(monkeypatch)
-        for module, name in ((sampler_mod, "contract"), (kernels_mod, "gram"),
+        for module, name in ((sampler_mod, "contract"),
                              (kernels_mod, "_gemm_factors")):
             monkeypatch.setattr(
                 module, name, lambda *a, _n=name: calls.append(_n))
