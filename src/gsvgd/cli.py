@@ -48,7 +48,7 @@ from . import diagnostics, targets
 from .dynamics import (KINDS, KINDS_WITH_R, RIEMANN_KINDS, DynamicsSpec,
                        RiemannConfig)
 from .errors import ConfigError, NumericalError
-from .integrator import euler_step, symmetric_split_step
+from .integrator import step
 from .kernels import KernelConfig
 from .sampler import (gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
                       parvi_blob_velocity, resample_momentum)
@@ -448,11 +448,6 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
         schedule = bnn_mod.MinibatchSchedule(dataset.n_train, cfg.bnn_batch,
                                              rng_batch)
     velocity = globals().get(_FIELDS[cfg.method])     # None for "mcmc"
-
-    def field(Y):
-        # The loop below sets target_it and the bandwidth h of each step.
-        return velocity(Y, target_it, spec, h)
-
     trace_iters = set(range(cfg.trace_every, cfg.iters + 1, cfg.trace_every))
     trace_iters.add(cfg.iters)
 
@@ -481,11 +476,8 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
                     if cfg.method == "mcmc":
                         X = mcmc_step(X, target_it, spec, cfg.eps, rng_mcmc)
                     else:
-                        h = kernel.bandwidth(X)
-                        if cfg.integrator == "euler":
-                            X = euler_step(X, field, cfg.eps)
-                        else:
-                            X = symmetric_split_step(X, field, cfg.eps, spec)
+                        X = step(X, velocity, target_it, spec, kernel, cfg.eps,
+                                 cfg.integrator == "split")
                     if cfg.resample_period and it % cfg.resample_period == 0:
                         X = resample_momentum(X, spec, rng_resample)
                 except NumericalError as err:

@@ -39,6 +39,7 @@ per-particle diagonal times ``I``, so ``(A, C)`` over an ensemble is the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -71,8 +72,12 @@ class RiemannConfig:
     c_offset: float = 0.5
 
     def __post_init__(self):
-        if self.d_scale <= 0:
-            raise ValueError("d_scale must be positive (A must stay PSD)")
+        # Written as ranges, so that NaN fails them too.
+        if not 0 < self.d_scale < math.inf:
+            raise ValueError("d_scale must be positive (A must stay PSD) "
+                             "and finite")
+        if not math.isfinite(self.c_offset):
+            raise ValueError("c_offset must be finite")
 
     def metric(self, theta: Array) -> tuple[Array, Array]:
         """Return ``(s, ds)``: the metric scalar per row and its theta-gradient.
@@ -150,14 +155,16 @@ class DynamicsSpec:
             raise ValueError(f"unknown dynamics kind '{self.kind}'")
         if not isinstance(self.d_theta, (int, np.integer)) or self.d_theta < 1:
             raise ValueError("d_theta must be a positive integer")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be positive and finite")
+        if not 0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
         if self.kind in RIEMANN_KINDS and self.riemann is None:
             raise ValueError(f"{self.kind} requires a RiemannConfig")
-        if self.friction < 0:
-            raise ValueError("friction must be nonnegative")
+        if not 0 <= self.friction < math.inf:
+            raise ValueError("friction must be nonnegative and finite")
+        if not math.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
 
     @property
     def has_r(self) -> bool:

@@ -3,11 +3,10 @@
 Both steps take the (N, D) state and a velocity field ``field(X) -> (N, D)``
 and return the new state.  The split step advances momentum by a half step,
 positions by a full step at the updated momenta, then momentum by another
-half step, re-evaluating the field at each sub-state.  The caller fixes the
-kernel bandwidth inside ``field`` once per outer step, so the three sub-steps
-see a consistent kernel.  Thermostat (xi) coordinates, when present, are
-grouped with the momentum half-steps, which preserves the symmetric
-structure.
+half step, re-evaluating the field at each sub-state.  :func:`step` fixes
+the kernel bandwidth once per outer step, so the three sub-steps see one
+kernel.  Thermostat (xi) coordinates, when present, are grouped with the
+momentum half-steps, which preserves the symmetric structure.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import DynamicsSpec
+from .kernels import KernelConfig
 from .sampler import check_finite
 
 Array = np.ndarray
@@ -61,3 +61,18 @@ def symmetric_split_step(X: Array, field: Callable[[Array], Array],
     for s in aux:
         x[:, s] += 0.5 * eps * v[:, s]
     return check_finite(x, "particle position")
+
+
+def step(X: Array, velocity: Callable[..., Array], target, spec: DynamicsSpec,
+         kernel: KernelConfig, eps: float, split: bool = False) -> Array:
+    """One step of ``velocity(Y, target, spec, h)`` from ``X``, by
+    :func:`symmetric_split_step` if ``split``, else :func:`euler_step`
+    (looked up at the call, so a rebinding is seen), with ``h =
+    kernel.bandwidth(X)`` passed unchanged to every sub-state's field."""
+    h = kernel.bandwidth(X)
+
+    def field(Y):
+        return velocity(Y, target, spec, h)
+
+    return (symmetric_split_step(X, field, eps, spec) if split
+            else euler_step(X, field, eps))

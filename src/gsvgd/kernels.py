@@ -354,8 +354,8 @@ class KernelConfig:
 
     Attributes:
         mode: ``"median"`` or ``"fixed"``.
-        h: Bandwidth when ``mode == "fixed"``; must be positive.
-        h_min: Floor applied by the median rule.
+        h: Bandwidth when ``mode == "fixed"``; must be positive and finite.
+        h_min: Floor applied by the median rule; positive and finite.
     """
 
     mode: str = "median"
@@ -365,11 +365,13 @@ class KernelConfig:
     def __post_init__(self):
         if self.mode not in ("median", "fixed"):
             raise ValueError(f"unknown bandwidth mode '{self.mode}'")
-        if self.mode == "fixed":
-            if self.h is None or self.h <= 0:
-                raise ValueError("fixed mode requires a positive bandwidth h")
-        if self.h_min <= 0:
-            raise ValueError("h_min must be positive")
+        # Written as ranges, so that NaN fails them too.
+        if self.mode == "fixed" and (self.h is None
+                                     or not 0 < self.h < math.inf):
+            raise ValueError("fixed mode requires a positive finite "
+                             "bandwidth h")
+        if not 0 < self.h_min < math.inf:
+            raise ValueError("h_min must be positive and finite")
 
     def bandwidth(self, positions) -> float:
         """Resolve the bandwidth for the given particle positions."""

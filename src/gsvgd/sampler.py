@@ -7,9 +7,9 @@ per-particle quantities (drift, (A, C) coefficients, kernel) from a snapshot
 of the state, then combine them.  Velocities are therefore a pure function
 of the snapshot; applying them is a separate phase, and evaluation may be
 parallelized across the outer particle index.  Fields take the kernel
-bandwidth ``h`` explicitly; the caller resolves it once per outer step and
-passes it on unchanged, so a median bandwidth's squared distances reach the
-contraction (:class:`gsvgd.kernels.Bandwidth`).
+bandwidth ``h`` explicitly; :func:`gsvgd.integrator.step` resolves it once
+per outer step and passes it on unchanged, so a median bandwidth's squared
+distances reach the contraction (:class:`gsvgd.kernels.Bandwidth`).
 
 The main field applies the diffusion Stein operator of the (A, C) dynamics
 to the kernel and averages it over the empirical measure:

@@ -178,6 +178,10 @@ def tri_crescent_target() -> TargetDensity:
     infinity and cannot serve as a sampling target, so the decaying form is
     used (the z-set makes it symmetric under ``y -> -y``, and
     ``logp(0, 0) = 0``).  No exact sampler exists for this target.
+
+    Its mass is infinite: the z = 0 component is ``exp(-0.6 x**4)`` for
+    every y, so, with the mixture weight 1/3, the mass over ``|y| <= L``
+    grows by ``4 Gamma(5/4) / (3 * 0.6**(1/4)) ~= 1.37316`` per unit of L.
     """
 
     def _score(X: Array) -> tuple[Array, Array, Array]:

@@ -159,9 +159,7 @@ def test_criterion_05_gaussian_convergence():
     ref = base.sample_exact(np.random.default_rng(1505), 1000)
     ed0 = energy_distance(x[:, spec.theta_slice], ref)
     for _ in range(iters):
-        h = kernel.bandwidth(x)
-        x = g.symmetric_split_step(
-            x, lambda y: g.gsvgd_velocity(y, aug, spec, h), eps, spec)
+        x = g.step(x, g.gsvgd_velocity, aug, spec, kernel, eps, split=True)
 
     theta = x[:, spec.theta_slice]
     mean_err = np.abs(theta.mean(axis=0) - mean)
@@ -186,16 +184,15 @@ def test_criterion_05_gaussian_convergence():
 def test_criterion_06_leapfrog_degeneracy():
     spec = g.DynamicsSpec("HMC", 1, sigma2=1.0, friction=0.0)
     target = spec.augment(g.standard_gaussian(1))
-
-    def field(x):
-        return g.gsvgd_velocity(x, target, spec, 1.0)
+    kernel = g.KernelConfig("fixed", h=1.0)
 
     def max_energy_error(eps, steps, check_leapfrog=False):
         x = np.array([[1.0, 0.0]])
         theta, r = 1.0, 0.0
         worst_energy = 0.0
         for _ in range(steps):
-            x = g.symmetric_split_step(x, field, eps, spec)
+            x = g.step(x, g.gsvgd_velocity, target, spec, kernel, eps,
+                       split=True)
             if check_leapfrog:
                 r_half = r - 0.5 * eps * theta
                 theta = theta + eps * r_half
@@ -237,9 +234,7 @@ def _c7_rhmc_best_joint_occupancy(seed):
                    np.sqrt(sigma2) * rng.standard_normal((_C7_PARTICLES, 2))])
     best = -1.0
     for it in range(1, _C7_BUDGET + 1):
-        h = kernel.bandwidth(x)
-        x = g.euler_step(
-            x, lambda y: g.gsvgd_velocity(y, aug, spec, h), 0.05)
+        x = g.step(x, g.gsvgd_velocity, aug, spec, kernel, 0.05)
         if it % 50 == 0:
             best = max(best, float(
                 _c7_occupancy(x[:, spec.theta_slice]).min()))
@@ -253,9 +248,7 @@ def _c7_svgd_stays_in_one_mode(seed):
     x = 0.1 * rng.standard_normal((_C7_PARTICLES, 2))
     max_tips, occ = 0.0, None
     for it in range(1, _C7_BUDGET + 1):
-        h = kernel.bandwidth(x)
-        x = g.euler_step(
-            x, lambda y: g.gsvgd_velocity(y, base, spec, h), 5e-4)
+        x = g.step(x, g.gsvgd_velocity, base, spec, kernel, 5e-4)
         if it % 100 == 0:
             occ = _c7_occupancy(x)
             max_tips = max(max_tips, occ[0], occ[1])
@@ -342,9 +335,8 @@ def test_criterion_08_bnn_directional():
         first = None
         for it in range(1, iters + 1):
             target = spec.augment(post.as_target(sched.next()))
-            h = kernel.bandwidth(x)
-            x = g.symmetric_split_step(
-                x, lambda y: g.gsvgd_velocity(y, target, spec, h), eps, spec)
+            x = g.step(x, g.gsvgd_velocity, target, spec, kernel, eps,
+                       split=True)
             if it == 1:
                 first = test_ll(x, spec, ds)
         return first, test_ll(x, spec, ds)

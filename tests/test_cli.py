@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gsvgd import cli, diagnostics
+from gsvgd import integrator as integrator_mod
 from gsvgd.cli import RunConfig, main, parse_config, run_experiment
 from gsvgd.dynamics import DynamicsSpec
 from gsvgd.errors import ConfigError, NumericalError
@@ -362,6 +363,24 @@ class TestRunExperiment:
         assert self.aborted_summary(out) == {
             "iteration": 3, "particle": None, "type": error.__name__,
             "message": "field stopped"}
+
+    @pytest.mark.parametrize("integrator", ["euler", "split"])
+    def test_each_iteration_calls_the_integrator_by_its_module_name(
+            self, tmp_path, monkeypatch, integrator):
+        # A profiler times a step by rebinding the integrators in
+        # gsvgd.integrator, so the loop must reach them through that module
+        # at every call.
+        calls = []
+        for name in ("euler_step", "symmetric_split_step"):
+            monkeypatch.setattr(
+                integrator_mod, name,
+                lambda *a, _n=name, _f=getattr(integrator_mod, name):
+                    calls.append(_n) or _f(*a))
+        run_experiment(parse_config(small_run_config(
+            tmp_path / "o", integrator=integrator)))
+        expected = "euler_step" if integrator == "euler" \
+            else "symmetric_split_step"
+        assert calls == [expected] * 20         # run.iters
 
     def test_summary_stamps_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -107,6 +107,17 @@ class TestCatalog:
             DynamicsSpec("frog", 2)
         with pytest.raises(ValueError):
             DynamicsSpec("LD", 0)
+        # Non-finite parameters, NaN included, are named by the constructors.
+        bad = [("sigma2", np.nan), ("sigma2", np.inf), ("friction", np.nan),
+               ("friction", np.inf), ("mu", np.nan), ("gamma", np.nan),
+               ("gamma", -np.inf)]
+        for key, value in bad:
+            with pytest.raises(ValueError, match=key):
+                DynamicsSpec("HMC", 2, **{key: value})
+        for key, value in [("d_scale", np.nan), ("d_scale", np.inf),
+                           ("c_offset", np.nan)]:
+            with pytest.raises(ValueError, match=key):
+                RiemannConfig(standard_gaussian(2), **{key: value})
 
     @pytest.mark.parametrize("kind,widths", [
         ("LD", (3, 0, 0)), ("RLD", (3, 0, 0)), ("HMC", (3, 3, 0)),

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from gsvgd.dynamics import DynamicsSpec
-from gsvgd.integrator import euler_step, symmetric_split_step
+from gsvgd.integrator import euler_step, step, symmetric_split_step
 from gsvgd.kernels import KernelConfig
 from gsvgd.errors import NumericalError
-from gsvgd.sampler import gsvgd_velocity
+from gsvgd.sampler import (gsvgd_velocity, gsvgd_velocity_alt,
+                           parvi_blob_velocity)
 from gsvgd.targets import TargetDensity, standard_gaussian
 
-from helpers import nonfinite_on_call
+from helpers import make_spec, nonfinite_on_call
 
 
 def stein_field(target, spec, h=1.0):
@@ -180,3 +181,26 @@ class TestSymmetricSplitStep:
             a = split(a, target, spec, 0.05, h=kernel.bandwidth(a))
             b = split(b, target, spec, 0.05, h=kernel.bandwidth(b))
         np.testing.assert_array_equal(a, b)
+
+
+class TestStep:
+    @pytest.mark.parametrize("by_split", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, 200, 400])
+    def test_equals_the_hand_written_step(self, n, by_split):
+        # The bandwidth at X, a field closing over it, then the integrator:
+        # one square shared up to 362 particles, a blocked set above.
+        spec, target = make_spec("NHT")
+        kernel = KernelConfig("median")
+        X = np.random.default_rng(n).uniform(-1.5, 1.5, size=(n, spec.dim))
+        for velocity in (gsvgd_velocity, gsvgd_velocity_alt,
+                         parvi_blob_velocity):
+            h = kernel.bandwidth(X)
+
+            def field(Y):
+                return velocity(Y, target, spec, h)
+
+            by_hand = (symmetric_split_step(X, field, 0.05, spec) if by_split
+                       else euler_step(X, field, 0.05))
+            np.testing.assert_array_equal(
+                step(X, velocity, target, spec, kernel, 0.05, by_split),
+                by_hand)

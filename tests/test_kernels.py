@@ -495,6 +495,14 @@ class TestKernelConfig:
             KernelConfig("fixed", h=None)
         with pytest.raises(ValueError):
             KernelConfig("fixed", h=-1.0)
+        # NaN passes a bare ``h <= 0`` check, so the non-finite values are
+        # named at construction, not later as a particle's fault.
+        for h in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="bandwidth h"):
+                KernelConfig("fixed", h=h)
+        for h_min in (np.nan, np.inf, 0.0):
+            with pytest.raises(ValueError, match="h_min"):
+                KernelConfig(h_min=h_min)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

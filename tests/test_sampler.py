@@ -6,7 +6,7 @@ import gsvgd.kernels as kernels_mod
 import gsvgd.sampler as sampler_mod
 from gsvgd.dynamics import KINDS, DynamicsSpec
 from gsvgd.errors import NumericalError
-from gsvgd.integrator import euler_step, symmetric_split_step
+from gsvgd.integrator import euler_step, step, symmetric_split_step
 from gsvgd.kernels import KernelConfig, median_bandwidth
 from gsvgd.sampler import (blob_grad_log_density, check_finite,
                            gsvgd_velocity, gsvgd_velocity_alt, mcmc_step,
@@ -649,6 +649,9 @@ class TestSharedPairwisePass:
             calls.clear()
             h = KernelConfig("median").bandwidth(X)
             euler_step(X, lambda Y: field(Y, target, spec, h), 0.05)
+            assert calls == ["_gemm_square"], field.__name__
+            calls.clear()
+            step(X, field, target, spec, KernelConfig("median"), 0.05)
             assert calls == ["_gemm_square"], field.__name__
 
     def test_split_step_shares_only_the_first_sub_state(self, monkeypatch):

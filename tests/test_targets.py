@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -48,6 +49,22 @@ class TestLogDensity:
     def test_tri_crescent_at_origin(self):
         # each mixture term is exp(0), so log((1/3) * 3) = 0
         assert logp(tri_crescent_target(), np.zeros(2)) == pytest.approx(0.0, abs=1e-14)
+
+    def test_tri_crescent_mass_grows_linearly_in_y(self):
+        # The z = 0 component, (1/3) exp(-0.6 x^4) for every y, adds
+        # 4 Gamma(5/4) / (3 * 0.6^(1/4)) of mass per unit of the half-width
+        # L of the strip |y| <= L; the other two have all but vanished by
+        # |y| = 5.  Midpoint rule, spacing 0.01, on x in [-6, 6] and the
+        # band 5 < |y| <= 10, which is M(10) - M(5).
+        step = 0.01
+        x = np.arange(-6.0, 6.0, step) + step / 2
+        y = np.arange(5.0, 10.0, step) + step / 2
+        X, Y = np.meshgrid(x, np.concatenate([-y, y]), indexing="ij")
+        band = np.exp(tri_crescent_target().logp_many(
+            np.column_stack([X.ravel(), Y.ravel()]))).sum() * step * step
+        rate = 4.0 * math.gamma(1.25) / (3.0 * 0.6 ** 0.25)
+        assert rate == pytest.approx(1.37316, abs=5e-6)
+        assert band / 5.0 == pytest.approx(rate, rel=1e-4)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
