@@ -234,6 +234,10 @@ def parse_config(text: str) -> RunConfig:
                 and cfg.kernel_h is None:
             raise ConfigError("kernel.h",
                               "required when kernel.mode is 'fixed'")
+        if section == "kernel" and cfg.kernel_mode != "fixed" \
+                and cfg.kernel_h is not None:
+            raise ConfigError("kernel.h",
+                              "applies only when kernel.mode is 'fixed'")
 
     # Cross-field consistency.
     if cfg.method in ("svgd", "blob") and cfg.kind != "LD":

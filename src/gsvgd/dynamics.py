@@ -35,13 +35,18 @@ No matrix is materialized.  Every kind has a diagonal ``A`` and at most two
 skew couplings in ``C`` (theta<->r and r<->xi), each a scalar or a
 per-particle diagonal times ``I``, so ``(A, C)`` over an ensemble is the
 :class:`StructuredAC` record of the diagonal and the coupling coefficients.
+Each coupling joins two adjacent blocks, so the product ``(A + C) v`` is
+``a * v`` plus, per coupling, one gather over the coupling's own columns:
+the two blocks swapped and multiplied by a signed coefficient built once
+with the record (once per run for the constant records of LD, HMC and
+ThirdOrder).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -96,28 +101,62 @@ class RiemannConfig:
         return s, ds
 
 
+@lru_cache(maxsize=None)
+def _swap(start: int, d: int) -> tuple[Array, Array]:
+    """The columns ``[start, start + 2d)`` with their two halves swapped,
+    and the signs of a coupling on them: -1 on the first half, +1 on the
+    second.  Read-only."""
+    source = np.concatenate((np.arange(start + d, start + 2 * d),
+                             np.arange(start, start + d)))
+    sign = np.repeat((-1.0, 1.0), d)
+    source.flags.writeable = sign.flags.writeable = False
+    return source, sign
+
+
 @dataclass(frozen=True)
 class StructuredAC:
     """``(A, C)`` over an ensemble: a diagonal ``A`` and skew block couplings.
 
-    ``A = diag(a)``.  Each coupling ``(c, u, w)`` of ``C`` joins column
-    blocks ``u`` and ``w`` of equal width: ``C[u_k, w_k] = -c_k`` and
-    ``C[w_k, u_k] = c_k`` for each coordinate k of the blocks; every other
-    entry of ``C`` is zero.  The catalog needs at most two couplings,
-    theta<->r and r<->xi.  A coefficient that depends on the state is an
-    (N, 1) or (N, d) array; one that does not is a scalar or a vector
-    broadcasting against each row.
+    ``A = diag(a)``.  Each coupling ``(c, u, w)`` of ``C`` joins adjacent
+    column blocks ``u`` and ``w = [u.stop, u.stop + width(u))`` of equal
+    width: ``C[u_k, w_k] = -c_k`` and ``C[w_k, u_k] = c_k`` for each
+    coordinate k of the blocks; every other entry of ``C`` is zero.  The
+    catalog needs at most two couplings, theta<->r and r<->xi.  A
+    coefficient that depends on the state is an (N, 1) or (N, d) array; one
+    that does not is a scalar or a vector broadcasting against each row.
+
+    :meth:`apply` adds each coupling as one gather over its own columns
+    ``[u.start, w.stop)``: the two blocks swapped, times ``-c`` on ``u`` and
+    ``c`` on ``w``.  No coupling reads or writes another column, so a
+    non-finite entry of ``V`` reaches only the columns its couplings join.
     """
 
     a: Array | float
     couplings: tuple[tuple[Array | float, slice, slice], ...] = ()
 
+    @cached_property
+    def _gathers(self) -> tuple[tuple[slice, Array, Array], ...]:
+        """``(columns, source, coef)`` per coupling: ``out[:, columns] +=
+        coef * V[:, source]`` adds it.  Built once per record, so a record
+        kept on its spec builds them once per run."""
+        gathers = []
+        for c, u, w in self.couplings:
+            d = u.stop - u.start
+            if w.start != u.stop or w.stop - w.start != d:
+                raise ValueError("a coupling joins a block u to the block "
+                                 "of equal width right after it")
+            source, sign = _swap(u.start, d)
+            # Multiplied by -1, not negated, so that a NaN keeps its bits.
+            coef = (np.concatenate((c * -1.0, c), axis=-1)
+                    if np.shape(c)[-1:] == (d,) else c * sign)
+            gathers.append((slice(u.start, w.stop), source, coef))
+        return tuple(gathers)
+
     def apply(self, V: Array) -> Array:
         """Row-wise ``(A + C) v`` for an (N, D) batch of vectors."""
         out = self.a * V
-        for c, u, w in self.couplings:
-            out[:, u] -= c * V[:, w]
-            out[:, w] += c * V[:, u]
+        for columns, source, coef in self._gathers:
+            out[:, columns] += coef * V.take(source, axis=1)
         return out
 
 
@@ -204,9 +243,10 @@ class DynamicsSpec:
         ``N(r | 0, sigma2 I)`` and ``N(xi | xi_mean, 1/mu I)`` for the blocks
         the kind has.  Returns ``base`` itself for LD and RLD.
 
-        The density factorizes, so the theta-block score is the base's.  The
-        exact sampler, present when ``base`` has one, draws theta, then r,
-        then xi.
+        The density factorizes, so the theta-block score is the base's, and
+        it comes from the base's memo.  The augmented target keeps no memo
+        of its own (its states never repeat).  The exact sampler, present
+        when ``base`` has one, draws theta, then r, then xi.
         """
         d = self.d_theta
         if base.dim != d:
@@ -219,12 +259,10 @@ class DynamicsSpec:
         sigma2, mu, mean = self.sigma2, self.mu, self.xi_mean
 
         def grad_fn(X: Array) -> Array:
-            out = np.empty_like(X)
-            out[:, t] = base.grad_many(X[:, t])
-            out[:, r] = -X[:, r] / sigma2
+            blocks = [base.grad_many(X[:, t]), -X[:, r] / sigma2]
             if has_xi:
-                out[:, xi] = -mu * (X[:, xi] - mean)
-            return out
+                blocks.append(-mu * (X[:, xi] - mean))
+            return np.concatenate(blocks, axis=1)
 
         def value_and_grad_fn(X: Array) -> tuple[Array, Array]:
             # base.logp_many stores the theta score, so grad_fn reuses it.
@@ -246,7 +284,7 @@ class DynamicsSpec:
 
         name = base.name + ("+r+xi" if has_xi else "+r")
         return TargetDensity(self.dim, value_and_grad_fn, grad_fn, sampler,
-                             name)
+                             name, memo=False)
 
     def _check_states(self, X: Array) -> Array:
         X = np.asarray(X, dtype=float)

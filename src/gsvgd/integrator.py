@@ -51,15 +51,20 @@ def symmetric_split_step(X: Array, field: Callable[[Array], Array],
         aux.append(spec.xi_slice)
     theta = spec.theta_slice
 
+    # Each block is added in place through its view, with no setitem.
+    half = 0.5 * eps
     x = X.copy()
     v = field(X)
     for s in aux:
-        x[:, s] += 0.5 * eps * v[:, s]
+        xs = x[:, s]
+        xs += half * v[:, s]
     v = field(x.copy())
-    x[:, theta] += eps * v[:, theta]
+    xs = x[:, theta]
+    xs += eps * v[:, theta]
     v = field(x.copy())
     for s in aux:
-        x[:, s] += 0.5 * eps * v[:, s]
+        xs = x[:, s]
+        xs += half * v[:, s]
     return check_finite(x, "particle position")
 
 

@@ -354,7 +354,8 @@ class KernelConfig:
 
     Attributes:
         mode: ``"median"`` or ``"fixed"``.
-        h: Bandwidth when ``mode == "fixed"``; must be positive and finite.
+        h: Bandwidth when ``mode == "fixed"``; must be positive and finite,
+            and None in any other mode.
         h_min: Floor applied by the median rule; positive and finite.
     """
 
@@ -370,6 +371,9 @@ class KernelConfig:
                                      or not 0 < self.h < math.inf):
             raise ValueError("fixed mode requires a positive finite "
                              "bandwidth h")
+        if self.mode != "fixed" and self.h is not None:
+            raise ValueError(f"bandwidth h applies only in fixed mode, "
+                             f"not in '{self.mode}' mode")
         if not 0 < self.h_min < math.inf:
             raise ValueError("h_min must be positive and finite")
 

@@ -43,6 +43,8 @@ than being clipped.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dynamics import DynamicsSpec, StructuredAC
@@ -62,7 +64,7 @@ def _check_bandwidth(h: float, X: Array) -> float:
     from the mean of ``X``.  ``X`` is scaled by its largest magnitude
     first, so the search itself cannot overflow, and it emits no warning.
     """
-    if not np.isfinite(h):
+    if not math.isfinite(h):
         with np.errstate(all="ignore"):
             Y = np.asarray(X, dtype=float)
             Y = Y / np.abs(Y).max()

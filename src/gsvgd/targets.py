@@ -10,13 +10,18 @@ the product target on that state.
 
 A target has two pure evaluators: ``value_and_grad_fn`` gives the log
 density and the score together, computing the terms they share once, and
-``grad_fn`` gives the score alone.  Each target remembers its last batch:
+``grad_fn`` gives the score alone.  A base target remembers its last batch:
 :meth:`TargetDensity.grad_many` and :meth:`TargetDensity.logp_many` return
 copies of what is stored when called again on the same bytes.  So the
 sub-steps of a split step share one score evaluation per distinct theta,
 and the Riemannian metric, which needs the energy and the score, makes one
 evaluation that the drift's score then reuses.  The memo is one tuple
 replaced whole, and a hit is a copy, so calls are still safe concurrently.
+
+The memo lives on the base target only.  The augmented target of a
+momentum kind is built with ``memo=False``: every sub-state of a split step
+moves some block, so its full state never repeats, and its score asks the
+base's memo for the theta block.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ class TargetDensity:
         exact_sampler: Optional ``(rng, n) -> (n, D)`` drawing exact samples;
             present for Gaussian and mixture targets and their augmentations.
         name: Short identifier used in run configs.
+        memo: Whether :meth:`grad_many` and :meth:`logp_many` keep the last
+            batch.  Off for a target whose batches never repeat.
     """
 
     dim: int
@@ -49,6 +56,7 @@ class TargetDensity:
     grad_fn: Callable[[Array], Array]
     exact_sampler: Optional[Callable[[np.random.Generator, int], Array]] = None
     name: str = "target"
+    memo: bool = True
     # ``[(key, grad, logp or None)]`` of the last batch; see grad_many.
     _memo: list = field(default_factory=lambda: [None], init=False,
                         repr=False, compare=False)
@@ -66,6 +74,8 @@ class TargetDensity:
         following :meth:`grad_many` at the same batch is a hit.
         """
         X = self._check_batch(X)
+        if not self.memo:
+            return self.value_and_grad_fn(X)[0]
         key = X.tobytes()
         last = self._memo[0]
         if last is not None and last[0] == key and last[2] is not None:
@@ -82,6 +92,8 @@ class TargetDensity:
         or another NaN payload recomputes).
         """
         X = self._check_batch(X)
+        if not self.memo:
+            return self.grad_fn(X)
         key = X.tobytes()
         last = self._memo[0]
         if last is not None and last[0] == key:

@@ -183,6 +183,18 @@ def dense_AC(spec, x):
     return A, C
 
 
+def structured_ac_reference(ac, V):
+    """Row-wise ``(A + C) v`` of a ``StructuredAC`` record by its strided
+    form: ``a * V``, then per coupling ``(c, u, w)`` the update
+    ``out[:, u] -= c * V[:, w]`` followed by ``out[:, w] += c * V[:, u]``.
+    The library's gathered product must equal it bit for bit."""
+    out = ac.a * V
+    for c, u, w in ac.couplings:
+        out[:, u] -= c * V[:, w]
+        out[:, w] += c * V[:, u]
+    return out
+
+
 def dense_divergence(spec, x):
     """Analytic row divergence of ``A + C`` for each catalog kind."""
     x = np.asarray(x, dtype=float)

@@ -585,6 +585,7 @@ class TestMain:
         ({"init": {"theta_var": float("inf")}}, "init.theta_var"),
         ({"run": {"eps": float("nan")}}, "run.eps"),
         ({"kernel": {"mode": "fixed", "h": float("nan")}}, "kernel.h"),
+        ({"kernel": {"mode": "median", "h": 0.3}}, "kernel.h"),
         ({"kernel": {"h_min": float("inf")}}, "kernel.h_min"),
         ({"dynamics": {"c_offset": float("-inf")}}, "dynamics.c_offset"),
         ({"dynamics": {"gamma": 10 ** 400}}, "dynamics.gamma"),
@@ -596,7 +597,7 @@ class TestMain:
             "cov_not_spd", "negative_weights", "centers_wrong_dim",
             "dim_mean_mismatch", "mean_not_numbers", "cov_not_numbers",
             "var_string", "var_bool", "means_bool", "weights_string",
-            "theta_var_inf", "eps_nan", "h_nan", "h_min_inf",
+            "theta_var_inf", "eps_nan", "h_nan", "h_under_median", "h_min_inf",
             "c_offset_neg_inf", "gamma_huge_int", "mean_nan", "centers_inf"])
     def test_malformed_target_is_config_error(self, tmp_path, capsys,
                                               overrides, key):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from gsvgd.dynamics import KINDS, RIEMANN_KINDS, DynamicsSpec, RiemannConfig
+from gsvgd.dynamics import (KINDS, RIEMANN_KINDS, DynamicsSpec, RiemannConfig,
+                            StructuredAC)
 from gsvgd.targets import (TargetDensity, gaussian, standard_gaussian,
                            tri_crescent_target)
 
 from helpers import (dense_AC, dense_divergence, dense_drift, fd_divergence,
-                     fd_gradient, grad_logp, logp, make_spec, rel_err)
+                     fd_gradient, grad_logp, logp, make_spec, rel_err,
+                     structured_ac_reference)
 
 
 def random_states(spec, rng, n):
@@ -316,6 +318,15 @@ class TestConstantRecord:
         second = spec.drift_many(random_states(spec, rng, 6), target)[1]
         assert first is second
 
+    @pytest.mark.parametrize("kind", ["HMC", "ThirdOrder"])
+    def test_gathers_are_built_once(self, kind):
+        spec, target = make_spec(kind)
+        rng = np.random.default_rng(22)
+        first = spec.drift_many(random_states(spec, rng, 4), target)[1]
+        gathers = first._gathers
+        second = spec.drift_many(random_states(spec, rng, 6), target)[1]
+        assert second._gathers is gathers
+
     @pytest.mark.parametrize("kind", ["HMC", "NHT", "ThirdOrder"])
     def test_cached_diagonal_is_read_only(self, kind):
         spec, target = make_spec(kind)
@@ -334,6 +345,85 @@ class TestConstantRecord:
         X = np.zeros((2, 4))
         assert a.drift_many(X, a.augment(flat))[1] is not \
             b.drift_many(X, b.augment(flat))[1]
+
+
+def with_signed_zero_and_inf_rows(V):
+    """``V`` with its first row all -0.0 and an inf in its second row's
+    last column, when there are rows for them."""
+    V = V.copy()
+    V[0] = -0.0
+    if V.shape[0] > 1:
+        V[1, -1] = np.inf
+    return V
+
+
+class TestStructuredACProduct:
+    """``StructuredAC.apply`` gathers each coupling over its own columns and
+    equals the strided update of ``tests/helpers.py`` bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(ac, V):
+        with np.errstate(invalid="ignore"):
+            got, ref = ac.apply(V), structured_ac_reference(ac, V)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_catalog_records(self, kind, n):
+        spec, target = make_spec(kind, d_theta=3)
+        rng = np.random.default_rng(30 + n)
+        X = random_states(spec, rng, n)
+        ac = spec.drift_many(X, target)[1]
+        V = rng.standard_normal((n, spec.dim))
+        self.assert_bitwise(ac, V)
+        self.assert_bitwise(ac, with_signed_zero_and_inf_rows(V))
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("kind", ["NHT", "ThirdOrder", "RHMC"])
+    def test_kernel_smoothed_records(self, kind, n):
+        # The field's Mbar: the diagonal and every coupling as (N, k)
+        # columns of one contraction (k = 1, or d for NHT's r<->xi
+        # coupling), read as strided views.
+        spec, _ = make_spec(kind, d_theta=3)
+        rng = np.random.default_rng(40 + n)
+        widths = [spec.dim, 1, 3 if kind == "NHT" else 1]
+        S = rng.standard_normal((n, sum(widths) + 2))
+        at = np.cumsum([0] + widths)
+        a, c1, c2 = (S[:, at[i]:at[i + 1]] for i in range(3))
+        t, r, xi = spec.theta_slice, spec.r_slice, spec.xi_slice
+        couplings = ((c1, t, r),) + (((c2, r, xi),) if spec.has_xi else ())
+        ac = StructuredAC(a, couplings)
+        V = rng.standard_normal((n, spec.dim))
+        self.assert_bitwise(ac, V)
+        self.assert_bitwise(ac, with_signed_zero_and_inf_rows(V))
+
+    def test_signed_zero_and_non_finite_entries_stay_in_their_columns(self):
+        # HMC at zero friction leaves a -0.0 entry as -0.0, and an inf in a
+        # column no coupling joins reaches no other column.
+        spec = DynamicsSpec("HMC", 2, friction=0.0)
+        ac = spec.drift_many(np.zeros((1, 4)),
+                             spec.augment(standard_gaussian(2)))[1]
+        V = np.array([[-0.0, 1.0, -0.0, 2.0]])
+        self.assert_bitwise(ac, V)
+        assert np.signbit(ac.apply(V)[0, 2]) and ac.apply(V)[0, 2] == 0.0
+        ac = StructuredAC(1.0, ((1.0, slice(0, 1), slice(1, 2)),))
+        V = np.array([[1.0, 2.0, np.inf], [-0.0, 0.5, 3.0]])
+        self.assert_bitwise(ac, V)
+        np.testing.assert_array_equal(ac.apply(V),
+                                      [[-1.0, 3.0, np.inf], [-0.5, 0.5, 3.0]])
+
+    def test_a_nan_coefficient_keeps_its_bits(self):
+        c = np.full((2, 1), np.nan)
+        ac = StructuredAC(0.5, ((c, slice(0, 1), slice(1, 2)),))
+        V = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        self.assert_bitwise(ac, V)
+
+    @pytest.mark.parametrize("u, w", [(slice(0, 1), slice(2, 3)),
+                                      (slice(1, 2), slice(0, 1)),
+                                      (slice(0, 2), slice(2, 3))])
+    def test_coupling_joins_adjacent_blocks_of_equal_width(self, u, w):
+        with pytest.raises(ValueError, match="equal width"):
+            StructuredAC(1.0, ((1.0, u, w),)).apply(np.zeros((1, 4)))
 
 
 class TestStationarity:

@@ -504,6 +504,13 @@ class TestKernelConfig:
             with pytest.raises(ValueError, match="h_min"):
                 KernelConfig(h_min=h_min)
 
+    def test_median_mode_rejects_h(self):
+        # The median rule never reads h, so a set h would be echoed as if
+        # it applied.
+        for h in (0.3, np.nan):
+            with pytest.raises(ValueError, match="bandwidth h"):
+                KernelConfig("median", h=h)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             KernelConfig("imq")

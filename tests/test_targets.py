@@ -312,7 +312,48 @@ def fixed_h_field(target, spec, h=0.9):
 
 
 class TestScoreMemo:
-    """``grad_many`` remembers the score of its last batch."""
+    """``grad_many`` remembers the score of its last batch.  The memo lives
+    on the base target; an augmented state keeps none of its own."""
+
+    @pytest.mark.parametrize("kind", ["HMC", "NHT", "RHMC", "ThirdOrder"])
+    def test_augmented_target_keeps_no_memo(self, kind):
+        # Every sub-state of a split step moves some block, so an augmented
+        # memo would never hit; the theta score is the base's memo's.
+        base, calls = counting(tri_crescent_target())
+        riemann = RiemannConfig(base) if kind == "RHMC" else None
+        spec = DynamicsSpec(kind, 2, friction=0.3, riemann=riemann)
+        target = spec.augment(base)
+        assert target is not base and not target.memo and base.memo
+        X = np.random.default_rng(12).standard_normal((6, spec.dim))
+        X = symmetric_split_step(X, fixed_h_field(target, spec), 0.05, spec)
+        assert target._memo == [None]
+        assert base._memo[0] is not None
+        first = len(calls)
+        G = target.grad_many(X)
+        again = target.grad_many(X)
+        assert again.tobytes() == G.tobytes() == target.grad_fn(X).tobytes()
+        # The step's last field scored this theta already: three augmented
+        # evaluations, and the base's memo answered each theta block.
+        assert len(calls) == first
+        L = target.logp_many(X)
+        assert L.tobytes() == target.value_and_grad_fn(X)[0].tobytes()
+
+    def test_memo_off_evaluates_every_call(self):
+        base = tri_crescent_target()
+        grads = []
+
+        def grad_fn(X):
+            grads.append(X.shape)
+            return base.grad_fn(X)
+
+        target = TargetDensity(2, base.value_and_grad_fn, grad_fn,
+                               memo=False)
+        X = np.random.default_rng(13).standard_normal((4, 2))
+        target.grad_many(X)
+        target.grad_many(X)
+        assert grads == [(4, 2)] * 2 and target._memo == [None]
+        with pytest.raises(ValueError):
+            target.grad_many(X.reshape(2, 4))
 
     def test_full_batch_split_run_scores_each_theta_once(self):
         # The momentum half steps leave theta as it was, so K split steps
