@@ -31,7 +31,6 @@ from .targets import TargetDensity
 Array = np.ndarray
 
 HIDDEN_DEFAULT = 50
-GAMMA_SHAPE = 1.0
 GAMMA_RATE = 0.1
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _STD_FLOOR = 1e-8
@@ -257,7 +256,8 @@ def load_regression_csv(path, seed: int, test_frac: float = 0.1) -> Dataset:
 
 @dataclass(frozen=True)
 class BNNPosterior:
-    """Log posterior and gradient over the flattened network parameters.
+    """Log posterior and gradient over the flattened network parameters,
+    evaluated through the target view of one (mini)batch, :meth:`as_target`.
 
     Minibatch evaluations rescale the batch log-likelihood by
     ``n_train / batch`` so the full-data posterior is estimated without bias.
@@ -284,15 +284,6 @@ class BNNPosterior:
                 raise ValueError("batch must be nonempty")
             X, y = X[idx], y[idx]
         return np.hstack([X, np.ones((len(X), 1))]), y
-
-    def logp_many(self, W: Array, idx=None) -> Array:
-        """Log prior plus the (rescaled) batch log-likelihood, per row of the
-        (N, P) parameter stack W."""
-        return self._evaluate(W, self._batch(idx), with_logp=True)[0]
-
-    def grad_many(self, W: Array, idx=None) -> Array:
-        """Backpropagated gradient per row of W, in the flattening order."""
-        return self._evaluate(W, self._batch(idx), with_logp=False)[1]
 
     def _evaluate(self, W: Array, batch, with_logp: bool):
         """``(logp or None, grad)`` per row of W on ``batch = (X1, yb)``: with

@@ -465,8 +465,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
         # the whole run, not one per call.
         with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
               diagnostics.TraceWriter(os.path.join(out_dir, "trace.csv"),
-                                      columns, snapshot_dir=snap_dir)
-              as writer):
+                                      columns) as writer):
             diagnostics.write_snapshot(
                 os.path.join(snap_dir, diagnostics.snapshot_name(0)), 0, X)
             summary["initial"] = row = metrics_of(X)
@@ -490,7 +489,9 @@ def run_experiment(cfg: RunConfig, output_dir: str | None = None) -> dict:
                         iteration=it, particle=err.particle) from err
                 if it in trace_iters:
                     row = metrics_of(X)
-                    writer.record(it, row, snapshot=X)
+                    writer.record(it, row)
+                    diagnostics.write_snapshot(os.path.join(
+                        snap_dir, diagnostics.snapshot_name(it)), it, X)
     except BaseException as err:
         numerical = isinstance(err, NumericalError)
         summary["status"] = "aborted"

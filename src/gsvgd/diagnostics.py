@@ -10,7 +10,6 @@ differences.
 from __future__ import annotations
 
 import math
-import os
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -125,8 +124,8 @@ def mode_occupancy(theta: Array, centers: Sequence[Array],
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.shape[0] == 0:
         raise ValueError("centers must be nonempty")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     if theta.shape[1] != centers.shape[1]:
         raise ValueError("centers must match the theta-block dimension")
     dists = np.sqrt(_exact_d2(theta, centers))
@@ -195,16 +194,12 @@ class TraceWriter:
     """Single-writer CSV sink for per-iteration diagnostics.
 
     The header is written once at construction; every recorded iteration
-    appends one row, leaving absent metrics empty.  When a snapshot directory
-    is configured, :meth:`record` can also emit a per-particle snapshot file
-    for the iteration.
+    appends one row, leaving absent metrics empty.
     """
 
-    def __init__(self, path, columns: Sequence[str],
-                 snapshot_dir=None):
+    def __init__(self, path, columns: Sequence[str]):
         self.path = path
         self.columns = ["iter"] + list(columns)
-        self.snapshot_dir = snapshot_dir
         self.rows = 0
         try:
             self._fh = open(path, "w", encoding="utf-8", newline="\n")
@@ -212,8 +207,7 @@ class TraceWriter:
         except OSError as err:
             raise OSError(f"failed to open trace {path}: {err}") from err
 
-    def record(self, iteration: int, metrics: Mapping[str, float],
-               snapshot: Array | None = None) -> None:
+    def record(self, iteration: int, metrics: Mapping[str, float]) -> None:
         unknown = set(metrics) - set(self.columns)
         if unknown:
             raise ValueError(f"unknown trace columns: {sorted(unknown)}")
@@ -224,12 +218,6 @@ class TraceWriter:
         except OSError as err:
             raise OSError(f"failed to write trace {self.path}: {err}") from err
         self.rows += 1
-        if snapshot is not None:
-            if self.snapshot_dir is None:
-                raise ValueError("snapshot requested but no snapshot_dir configured")
-            write_snapshot(
-                os.path.join(self.snapshot_dir, snapshot_name(iteration)),
-                iteration, snapshot)
 
     def close(self) -> None:
         self._fh.close()

@@ -45,7 +45,7 @@ ThirdOrder).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -119,7 +119,8 @@ class StructuredAC:
 
     ``A = diag(a)``.  Each coupling ``(c, u, w)`` of ``C`` joins adjacent
     column blocks ``u`` and ``w = [u.stop, u.stop + width(u))`` of equal
-    width: ``C[u_k, w_k] = -c_k`` and ``C[w_k, u_k] = c_k`` for each
+    width (the constructor raises a ValueError otherwise):
+    ``C[u_k, w_k] = -c_k`` and ``C[w_k, u_k] = c_k`` for each
     coordinate k of the blocks; every other entry of ``C`` is zero.  The
     catalog needs at most two couplings, theta<->r and r<->xi.  A
     coefficient that depends on the state is an (N, 1) or (N, d) array; one
@@ -133,12 +134,13 @@ class StructuredAC:
 
     a: Array | float
     couplings: tuple[tuple[Array | float, slice, slice], ...] = ()
+    # ``(columns, source, coef)`` per coupling: ``out[:, columns] += coef *
+    # V[:, source]`` adds it.  Built with the record, so a record kept on
+    # its spec builds them once per run.
+    _gathers: tuple[tuple[slice, Array, Array], ...] = field(
+        init=False, repr=False, compare=False)
 
-    @cached_property
-    def _gathers(self) -> tuple[tuple[slice, Array, Array], ...]:
-        """``(columns, source, coef)`` per coupling: ``out[:, columns] +=
-        coef * V[:, source]`` adds it.  Built once per record, so a record
-        kept on its spec builds them once per run."""
+    def __post_init__(self):
         gathers = []
         for c, u, w in self.couplings:
             d = u.stop - u.start
@@ -150,7 +152,7 @@ class StructuredAC:
             coef = (np.concatenate((c * -1.0, c), axis=-1)
                     if np.shape(c)[-1:] == (d,) else c * sign)
             gathers.append((slice(u.start, w.stop), source, coef))
-        return tuple(gathers)
+        object.__setattr__(self, "_gathers", tuple(gathers))
 
     def apply(self, V: Array) -> Array:
         """Row-wise ``(A + C) v`` for an (N, D) batch of vectors."""

@@ -11,6 +11,7 @@ momentum half-steps, which preserves the symmetric structure.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -25,8 +26,8 @@ Array = np.ndarray
 def euler_step(X: Array, field: Callable[[Array], Array],
                eps: float) -> Array:
     """``X + eps * field(X)``; one field evaluation."""
-    if eps < 0:
-        raise ValueError("step size must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("step size must be nonnegative and finite")
     return check_finite(X + eps * field(X), "particle position")
 
 
@@ -42,8 +43,8 @@ def symmetric_split_step(X: Array, field: Callable[[Array], Array],
     the step's one position check.  For a single particle with Hamiltonian
     dynamics and zero friction this is exactly classic leapfrog.
     """
-    if eps < 0:
-        raise ValueError("step size must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("step size must be nonnegative and finite")
     if not spec.has_r:
         raise ValueError("split integrator requires a momentum block")
     aux = [spec.r_slice]

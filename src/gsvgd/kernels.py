@@ -240,6 +240,8 @@ def median_bandwidth(positions, h_min: float = 1e-6) -> Bandwidth:
     they are those :func:`contract` forms at this bandwidth
     (:class:`Bandwidth`).
     """
+    if not 0 < h_min < math.inf:
+        raise ValueError("h_min must be positive and finite")
     positions = np.asarray(positions, dtype=float)
     if (positions.ndim != 2 or positions.shape[0] < 1
             or not np.all(np.isfinite(positions))):

@@ -227,8 +227,8 @@ def mcmc_step(X: Array, target, spec: DynamicsSpec, eps: float,
     standard normal draws consumed in particle-index order.  ``A`` is
     diagonal for every catalog kind, so its square root is elementwise.
     """
-    if eps < 0:
-        raise ValueError("step size must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("step size must be nonnegative and finite")
     F, ac = spec.drift_many(X, target)
     F = check_finite(F, "drift")
     noise = rng.standard_normal(X.shape)

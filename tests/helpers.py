@@ -38,13 +38,14 @@ def grad_logp(target, x):
 
 
 def log_posterior(post, vec, idx=None):
-    """``post.logp_many`` of one BNN parameter vector."""
-    return float(post.logp_many(np.asarray(vec, dtype=float)[None], idx)[0])
+    """``logp_many`` of one BNN parameter vector under ``post.as_target``."""
+    return float(post.as_target(idx).logp_many(
+        np.asarray(vec, dtype=float)[None])[0])
 
 
 def grad_log_posterior(post, vec, idx=None):
-    """``post.grad_many`` of one BNN parameter vector."""
-    return post.grad_many(np.asarray(vec, dtype=float)[None], idx)[0]
+    """``grad_many`` of one BNN parameter vector under ``post.as_target``."""
+    return post.as_target(idx).grad_many(np.asarray(vec, dtype=float)[None])[0]
 
 
 def log_prior(vec, d_in, hidden):

@@ -238,13 +238,14 @@ class TestBatchedScore:
             vecs.append(flatten_params(w1, b1, rng.standard_normal(3), 0.1,
                                        0.2, -0.3))
         W = np.stack(vecs)
-        grad = post.grad_many(W)
+        target = post.as_target()
+        grad = target.grad_many(W)
         assert_matches_oracle(grad, np.stack([
             helpers.bnn_grad_log_posterior(ds, 3, w) for w in W]))
         # The dead unit's input weight and bias get the prior term only.
         lam = np.exp(W[:, -1])
         np.testing.assert_array_equal(grad[:, [1, 4]], -lam[:, None] * W[:, [1, 4]])
-        assert_matches_oracle(post.logp_many(W), [
+        assert_matches_oracle(target.logp_many(W), [
             helpers.bnn_log_posterior(ds, 3, w) for w in W])
 
     def test_strided_stack_scores_as_its_copy(self):
@@ -271,9 +272,10 @@ class TestBatchedScore:
         assert ds.n_train == 200
         post = BNNPosterior(ds, hidden=50)
         W = 0.7 * np.random.default_rng(8).standard_normal((10, post.dim))
-        assert_matches_oracle(post.grad_many(W), np.stack([
+        target = post.as_target()
+        assert_matches_oracle(target.grad_many(W), np.stack([
             helpers.bnn_grad_log_posterior(ds, 50, w) for w in W]))
-        assert_matches_oracle(post.logp_many(W), [
+        assert_matches_oracle(target.logp_many(W), [
             helpers.bnn_log_posterior(ds, 50, w) for w in W])
 
     def test_target_indexes_its_batch_once(self, monkeypatch):

@@ -167,6 +167,11 @@ class TestModeOccupancy:
         np.testing.assert_array_equal(fractions, [1 / 6, 4 / 6, 1 / 6])
         assert unassigned == 0.0
 
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_radius_outside_range(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            mode_occupancy(np.zeros((4, 2)), [[0.0, 0.0]], radius)
+
     def test_unassigned_fraction(self):
         pos = np.array([[0.0, 0.0], [50.0, 50.0]])
         fractions, unassigned = mode_occupancy(pos, [[0.0, 0.0]], 1.0)

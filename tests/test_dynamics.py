@@ -425,6 +425,11 @@ class TestStructuredACProduct:
         with pytest.raises(ValueError, match="equal width"):
             StructuredAC(1.0, ((1.0, u, w),)).apply(np.zeros((1, 4)))
 
+    def test_constructor_checks_its_couplings(self):
+        # The record is rejected when built, before any apply.
+        with pytest.raises(ValueError, match="equal width"):
+            StructuredAC(1.0, ((1.0, slice(0, 1), slice(2, 3)),))
+
 
 class TestStationarity:
     def test_fpe_rhs_vanishes_at_target(self):

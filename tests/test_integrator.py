@@ -25,6 +25,26 @@ def leapfrog_setup(friction=0.0):
     return spec.augment(standard_gaussian(1)), spec
 
 
+BAD_STEP_SIZES = [-0.1, -np.inf, np.nan, np.inf]
+
+
+def unused_field(X):
+    raise AssertionError("the step size is checked before any field call")
+
+
+class TestStepSizeRange:
+    @pytest.mark.parametrize("eps", BAD_STEP_SIZES)
+    def test_euler_rejects(self, eps):
+        with pytest.raises(ValueError, match="step size"):
+            euler_step(np.zeros((2, 1)), unused_field, eps)
+
+    @pytest.mark.parametrize("eps", BAD_STEP_SIZES)
+    def test_split_rejects(self, eps):
+        _, spec = leapfrog_setup()
+        with pytest.raises(ValueError, match="step size"):
+            symmetric_split_step(np.zeros((2, 2)), unused_field, eps, spec)
+
+
 class TestEulerStep:
     def test_zero_step_identity(self):
         target = standard_gaussian(2)

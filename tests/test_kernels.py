@@ -104,6 +104,11 @@ class TestMedianBandwidth:
         with pytest.raises(ValueError):
             median_bandwidth(np.array([[0.0], [np.nan], [1.0]]))
 
+    @pytest.mark.parametrize("h_min", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_h_min_outside_range(self, h_min):
+        with pytest.raises(ValueError, match="h_min"):
+            median_bandwidth(np.ones((5, 2)), h_min=h_min)
+
 
 class TestGram:
     """The one-block kernel matrix, which ``contract`` returns exactly

@@ -536,6 +536,13 @@ class TestMcmcStep:
         out = mcmc_step(x, target, spec, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out, x)
 
+    @pytest.mark.parametrize("eps", [-0.1, -np.inf, np.nan, np.inf])
+    def test_rejects_step_size_outside_range(self, eps):
+        target, spec = ld_setup(2)
+        with pytest.raises(ValueError, match="step size"):
+            mcmc_step(np.zeros((3, 2)), target, spec, eps,
+                      np.random.default_rng(0))
+
     def test_zero_diffusion_block_is_deterministic(self):
         target, spec = hmc_setup(2, friction=0.9)
         rng = np.random.default_rng(9)
